@@ -10,7 +10,7 @@ re-prepare it.
 
 from __future__ import annotations
 
-from . import channel, cli, compare, entpur, estimate, qmath, qubitpur
+from . import channel, cli, compare, entpur, estimate, qmath, qubitpur, validation
 from .channel import (
     LAMBDA_CRIT,
     MixtureCoefficients,

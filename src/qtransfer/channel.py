@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qmath
-from .qmath import BlochAngles
+from .qmath import BlochAngles, require_lambda
 
 #: Below this channel quality the orthogonal component dominates the output.
 LAMBDA_CRIT = 0.25
@@ -45,11 +45,11 @@ class MixtureCoefficients:
 def teleport_map(lam: float) -> MixtureCoefficients:
     """Output mixture ((1+2*lam)/3, 2*(1-lam)/3) of one teleportation.
 
-    Requires lam in [1/4, 1]; below 1/4 the channel output is worse than a
-    coin flip and the protocol is rejected.
+    The single source of the mixture for every module. Accepts the full
+    mathematical range [0, 1], like the other closed forms; the strategies
+    enforce the protocol range [LAMBDA_CRIT, 1] at their own entry points.
     """
-    if not LAMBDA_CRIT <= lam <= 1.0:
-        raise ValueError(f"channel parameter must lie in [{LAMBDA_CRIT}, 1]")
+    require_lambda(lam)
     return MixtureCoefficients(c1=(1.0 + 2.0 * lam) / 3.0, c0=2.0 * (1.0 - lam) / 3.0)
 
 
@@ -60,8 +60,7 @@ def single_shot_fidelity(lam: float) -> float:
     enforce the [1/4, 1] restriction themselves. The value at lam = 1/4 is
     exactly 1/2, the fidelity of a completely mixed output.
     """
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError("lambda must lie in [0, 1]")
+    require_lambda(lam)
     return (2.0 * lam + 1.0) / 3.0
 
 
@@ -89,8 +88,7 @@ def teleport_oracle(lam: float, angles: BlochAngles) -> np.ndarray:
     applies the outcome-conditioned Pauli correction, and averages the
     corrected states over the four outcomes.
     """
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError("lambda must lie in [0, 1]")
+    require_lambda(lam)
     total = np.zeros((2, 2), dtype=complex)
     for _, _, state in _teleport_branches(lam, angles):
         total += state

@@ -1,4 +1,8 @@
-"""Command-line interface.
+"""Command-line interface: argument parsing and output formatting only.
+
+Each handler takes the parsed argparse namespace, calls one library
+function and formats its result; the oracle suite behind `validate` lives
+in `qtransfer.validation`.
 
 Subcommands:
   single     fidelity of one teleportation through a noisy pair
@@ -9,58 +13,27 @@ Subcommands:
 
 All configuration is taken from flags (no environment variables or config
 files), so a run is fully reproducible from its command line. Exit codes:
-0 success, 1 validation failure, 2 input error, 3 I/O error, 4 ambiguous
-root bracketing.
+0 success, 1 validation failure, 2 input error (including an arithmetic
+failure such as an overflow), 3 I/O error, 4 ambiguous root bracketing.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
-from . import channel, compare, entpur, estimate, qmath, qubitpur
+from . import channel, compare, entpur, estimate, qubitpur
 from .compare import AmbiguousCrossingError
+from .validation import DEFAULT_MC_SAMPLES, run_validation_checks
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_INPUT = 2
 EXIT_IO = 3
 EXIT_AMBIGUOUS = 4
-
-_DEFAULT_VALIDATE_SAMPLES = 100_000
-
-
-@dataclass
-class RunConfig:
-    """Fully resolved invocation: one subcommand plus its parameters."""
-
-    command: str
-    method: str | None = None
-    n: int | None = None
-    n_values: tuple[int, ...] = ()
-    n_max: int | None = None
-    lambda0: float | None = None
-    methods: tuple[str, ...] = ()
-    grid_points: int = 50
-    mc_samples: int | None = None
-    seed: int = 0
-    output_path: str | None = None
-    format: str = "csv"
-    precision: int = 12
-    distribution: bool = False
-
-    def __post_init__(self):
-        if self.grid_points < 2:
-            raise ValueError("--grid must be at least 2")
-        if not 6 <= self.precision <= 17:
-            raise ValueError("--precision must lie in 6..17")
-        if self.format not in ("csv", "json"):
-            raise ValueError("--format must be csv or json")
 
 
 def _fmt(value: float, precision: int) -> str:
@@ -71,24 +44,24 @@ def _rounded(value: float, precision: int) -> float:
     return float(_fmt(value, precision))
 
 
-def _emit(text: str, cfg: RunConfig) -> None:
-    if cfg.output_path:
-        with open(cfg.output_path, "w", encoding="utf-8", newline="") as handle:
+def _emit(text: str, args: argparse.Namespace) -> None:
+    if args.output:
+        with open(args.output, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
     else:
         sys.stdout.write(text)
 
 
-def _emit_table(header: list[str], rows: list[list], cfg: RunConfig) -> None:
+def _emit_table(header: list[str], rows: list[list], args: argparse.Namespace) -> None:
     """Write rows of ints, floats, strings, or None as CSV or JSON.
 
     Floats are rendered at the configured precision either way; None
     becomes an empty CSV field and a JSON null.
     """
-    if cfg.format == "json":
-        payload = [{key: _rounded(value, cfg.precision) if isinstance(value, float) else value
+    if args.format == "json":
+        payload = [{key: _rounded(value, args.precision) if isinstance(value, float) else value
                     for key, value in zip(header, row)} for row in rows]
-        _emit(json.dumps(payload, indent=2) + "\n", cfg)
+        _emit(json.dumps(payload, indent=2) + "\n", args)
         return
     lines = [",".join(header)]
     for row in rows:
@@ -97,11 +70,11 @@ def _emit_table(header: list[str], rows: list[list], cfg: RunConfig) -> None:
             if value is None:
                 cells.append("")
             elif isinstance(value, float):
-                cells.append(_fmt(value, cfg.precision))
+                cells.append(_fmt(value, args.precision))
             else:
                 cells.append(str(value))
         lines.append(",".join(cells))
-    _emit("\n".join(lines) + "\n", cfg)
+    _emit("\n".join(lines) + "\n", args)
 
 
 def _parse_int_list(text: str, flag: str) -> tuple[int, ...]:
@@ -114,42 +87,41 @@ def _parse_int_list(text: str, flag: str) -> tuple[int, ...]:
     return values
 
 
-def cmd_single(cfg: RunConfig) -> int:
-    if cfg.lambda0 is None:
-        raise ValueError("--lambda0 is required")
-    value = channel.single_shot_fidelity(cfg.lambda0)
-    _emit(_fmt(value, cfg.precision) + "\n", cfg)
+def cmd_single(args: argparse.Namespace) -> int:
+    value = channel.single_shot_fidelity(args.lambda0)
+    _emit(_fmt(value, args.precision) + "\n", args)
     return EXIT_OK
 
 
-def cmd_strategy(cfg: RunConfig) -> int:
-    if cfg.n is None or cfg.n < 1:
+def cmd_strategy(args: argparse.Namespace) -> int:
+    if args.n < 1:
         raise ValueError("--n must be a positive integer")
-    report: dict = {"method": cfg.method, "n": cfg.n, "lambda0": None, "fidelity": None}
-    if cfg.method == "est":
-        report["fidelity"] = _rounded(estimate.estimation_fidelity(cfg.n).fidelity, cfg.precision)
+    precision = args.precision
+    report: dict = {"method": args.method, "n": args.n, "lambda0": None, "fidelity": None}
+    if args.method == "est":
+        report["fidelity"] = _rounded(estimate.estimation_fidelity(args.n).fidelity, precision)
     else:
-        if cfg.lambda0 is None:
+        if args.lambda0 is None:
             raise ValueError("--lambda0 is required for this method")
-        report["lambda0"] = _rounded(cfg.lambda0, cfg.precision)
-        if cfg.method == "ent":
-            if cfg.mc_samples is not None:
-                result = entpur.mc_simulate(cfg.n, cfg.lambda0, cfg.mc_samples, cfg.seed)
-                report["fidelity"] = _rounded(result.expected_fidelity, cfg.precision)
-                report["mc_estimate"] = _rounded(result.mc_estimate, cfg.precision)
-                report["mc_stderr"] = _rounded(result.mc_stderr, cfg.precision)
+        report["lambda0"] = _rounded(args.lambda0, precision)
+        if args.method == "ent":
+            if args.mc_samples is not None:
+                result = entpur.mc_simulate(args.n, args.lambda0, args.mc_samples, args.seed)
+                report["fidelity"] = _rounded(result.expected_fidelity, precision)
+                report["mc_estimate"] = _rounded(result.mc_estimate, precision)
+                report["mc_stderr"] = _rounded(result.mc_stderr, precision)
                 report["samples"] = result.samples
                 report["seed"] = result.seed
             else:
-                result = entpur.expected_fidelity_dp(cfg.n, cfg.lambda0)
-                report["fidelity"] = _rounded(result.expected_fidelity, cfg.precision)
+                result = entpur.expected_fidelity_dp(args.n, args.lambda0)
+                report["fidelity"] = _rounded(result.expected_fidelity, precision)
         else:
-            result = qubitpur.average_fidelity(cfg.n, cfg.lambda0)
-            report["fidelity"] = _rounded(result.expected_fidelity, cfg.precision)
-            if cfg.distribution:
-                report["distribution"] = {str(m): _rounded(p, cfg.precision)
+            result = qubitpur.average_fidelity(args.n, args.lambda0)
+            report["fidelity"] = _rounded(result.expected_fidelity, precision)
+            if args.distribution:
+                report["distribution"] = {str(m): _rounded(p, precision)
                                           for m, p in result.distribution.probs.items()}
-    _emit(json.dumps(report, indent=2) + "\n", cfg)
+    _emit(json.dumps(report, indent=2) + "\n", args)
     return EXIT_OK
 
 
@@ -157,175 +129,36 @@ def _lambda_grid(points: int) -> list[float]:
     return [float(x) for x in np.linspace(0.25, 1.0, points + 2)[1:-1]]
 
 
-def cmd_sweep(cfg: RunConfig) -> int:
-    methods = compare.METHOD_NAMES if cfg.methods == ("all",) else cfg.methods
-    rows = compare.sweep(methods, cfg.n_values, _lambda_grid(cfg.grid_points))
+def cmd_sweep(args: argparse.Namespace) -> int:
+    if args.grid < 2:
+        raise ValueError("--grid must be at least 2")
+    n_values = _parse_int_list(args.n, "--n")
+    raw = args.methods.strip()
+    methods = compare.METHOD_NAMES if raw == "all" else tuple(m.strip() for m in raw.split(","))
+    rows = compare.sweep(methods, n_values, _lambda_grid(args.grid))
     table = [[row.method, row.n, row.lambda0, row.fidelity] for row in rows]
-    _emit_table(["method", "N", "lambda0", "fidelity"], table, cfg)
+    _emit_table(["method", "N", "lambda0", "fidelity"], table, args)
     return EXIT_OK
 
 
-def cmd_crossings(cfg: RunConfig) -> int:
-    if cfg.n_max is None or cfg.n_max < 1:
+def cmd_crossings(args: argparse.Namespace) -> int:
+    if args.n_max < 1:
         raise ValueError("--n-max must be a positive integer")
     table = []
-    for n in range(1, cfg.n_max + 1):
+    for n in range(1, args.n_max + 1):
         result = compare.crossing_points(n)
         table.append([n, result.lambda_1, result.lambda_2])
-    _emit_table(["N", "lambda1", "lambda2"], table, cfg)
+    _emit_table(["N", "lambda1", "lambda2"], table, args)
     return EXIT_OK
 
 
-def _check(name: str, max_error: float, tolerance: float, passed: bool | None = None) -> dict:
-    ok = bool(max_error <= tolerance) if passed is None else bool(passed)
-    return {"name": name, "passed": ok,
-            "max_error": float(max_error), "tolerance": float(tolerance)}
-
-
-def _teleportation_checks(rng) -> list[dict]:
-    err_mixture = err_fidelity = err_outcome = 0.0
-    for _ in range(50):
-        lam = float(rng.uniform(0.25, 1.0))
-        angles = qmath.BlochAngles(theta=math.acos(float(rng.uniform(-1.0, 1.0))),
-                                   phi=float(rng.uniform(0.0, 2.0 * math.pi)))
-        simulated = channel.teleport_oracle(lam, angles)
-        err_mixture = max(err_mixture,
-                          float(np.max(np.abs(simulated - channel.output_state(lam, angles)))))
-        psi = qmath.bloch_to_ket(angles)
-        err_fidelity = max(err_fidelity, abs(qmath.fidelity_pure(psi, simulated)
-                                             - channel.single_shot_fidelity(lam)))
-        probs = channel.teleport_outcome_probabilities(lam, angles)
-        err_outcome = max(err_outcome, max(abs(p - 0.25) for p in probs.values()))
-    return [_check("teleport_mixture_match", err_mixture, 1e-12),
-            _check("teleport_fidelity_match", err_fidelity, 1e-12),
-            _check("teleport_outcomes_uniform", err_outcome, 1e-12)]
-
-
-def _purification_step_checks(rng) -> list[dict]:
-    err_weights = err_pass = err_twirl = 0.0
-    for lam in np.linspace(0.0, 1.0, 20):
-        lam = float(lam)
-        oracle_bd, oracle_pass = entpur.step_oracle(lam)
-        closed_bd, closed_pass = entpur.purified_bell_diagonal(lam)
-        err_weights = max(err_weights, max(abs(a - b) for a, b in
-                                           zip(oracle_bd.weights(), closed_bd.weights())))
-        err_pass = max(err_pass, abs(oracle_pass - closed_pass))
-        err_twirl = max(err_twirl,
-                        abs(qmath.twirl_to_werner(oracle_bd) - entpur.purify_lambda(lam)))
-    return [_check("purification_step_weights_match", err_weights, 1e-12),
-            _check("purification_step_pass_probability_match", err_pass, 1e-12),
-            _check("purification_twirl_consistency", err_twirl, 1e-12)]
-
-
-def _purification_map_checks(rng) -> list[dict]:
-    fixed_err = max(abs(entpur.purify_lambda(0.5) - 0.5), abs(entpur.purify_lambda(1.0) - 1.0))
-    interior = np.linspace(0.5, 1.0, 202)[1:-1]
-    worst_gain = min(entpur.purify_lambda(float(lam)) - float(lam) for lam in interior)
-    return [_check("purification_fixed_points", fixed_err, 1e-14),
-            _check("purification_gain_above_half", -worst_gain, 0.0,
-                   passed=worst_gain > 0.0)]
-
-
-def _distribution_checks(rng) -> list[dict]:
-    err_norm = 0.0
-    for n in range(1, 21):
-        for lam in np.linspace(0.0, 1.0, 20):
-            dist = qubitpur.outcome_distribution(n, float(lam))
-            err_norm = max(err_norm, abs(math.fsum(dist.probs.values()) - 1.0))
-    return [_check("outcome_distribution_normalization", err_norm, 1e-12)]
-
-
-def _spin_projector_checks(rng) -> list[dict]:
-    err_spin = 0.0
-    for n in range(1, 7):
-        for lam in (0.3, 0.5, 0.7, 0.9):
-            oracle = qubitpur.spin_projector_oracle(n, lam)
-            closed = qubitpur.outcome_distribution(n, lam)
-            err_spin = max(err_spin, max(abs(oracle.probs[m] - closed.probs[m])
-                                         for m in closed.probs))
-    return [_check("spin_projector_match", err_spin, 1e-10)]
-
-
-def _quadrature_checks(rng) -> list[dict]:
-    err_quad = 0.0
-    for m in range(1, 5):
-        for lam in (0.3, 0.6, 0.9):
-            err_quad = max(err_quad, abs(qubitpur.reduced_state_quadrature_oracle(m, lam)
-                                         - qubitpur.single_qubit_fidelity(m, lam)))
-    return [_check("quadrature_fidelity_match", err_quad, 1e-6)]
-
-
-def _small_supply_checks(rng) -> list[dict]:
-    err_identity = 0.0
-    for lam in np.linspace(0.25, 1.0, 16):
-        lam = float(lam)
-        base = (1.0 + 2.0 * lam) / 3.0
-        err_identity = max(err_identity,
-                           abs(qubitpur.average_fidelity(1, lam).expected_fidelity - base),
-                           abs(qubitpur.average_fidelity(2, lam).expected_fidelity - base))
-    return [_check("small_supply_identities", err_identity, 1e-12)]
-
-
-def _run_expectation_checks(rng) -> list[dict]:
-    err_single = err_paths = 0.0
-    for lam in np.linspace(0.25, 1.0, 16):
-        lam = float(lam)
-        err_single = max(err_single, abs(entpur.expected_fidelity_dp(1, lam).expected_fidelity
-                                         - channel.single_shot_fidelity(lam)))
-        for n in (2, 5, 9, 12):
-            total = math.fsum(p for p, _ in entpur.enumerate_paths(n, lam))
-            err_paths = max(err_paths, abs(total - 1.0))
-    return [_check("run_single_pair_identity", err_single, 1e-14),
-            _check("run_path_weights_normalized", err_paths, 1e-12)]
-
-
-_CHECK_GROUPS = (
-    ("teleportation_oracle", _teleportation_checks),
-    ("purification_step_oracle", _purification_step_checks),
-    ("purification_map", _purification_map_checks),
-    ("collective_distribution", _distribution_checks),
-    ("spin_projector_oracle", _spin_projector_checks),
-    ("quadrature_oracle", _quadrature_checks),
-    ("small_supply_identities", _small_supply_checks),
-    ("run_expectation", _run_expectation_checks),
-)
-
-
-def run_validation_checks(seed: int = 0, mc_samples: int = _DEFAULT_VALIDATE_SAMPLES) -> list[dict]:
-    """Cross-check every closed form against its matrix or sampling oracle.
-
-    A check group that raises is recorded as a failed check instead of
-    aborting the suite, so a single defect cannot mask the remaining
-    diagnostics.
-    """
-    rng = np.random.default_rng(seed)
-    checks: list[dict] = []
-    for group_name, group in _CHECK_GROUPS:
-        try:
-            checks.extend(group(rng))
-        except Exception as exc:  # deliberate: a crash is a failed check
-            checks.append({"name": group_name, "passed": False,
-                           "max_error": math.inf, "tolerance": 0.0,
-                           "error": f"{type(exc).__name__}: {exc}"})
-    try:
-        mc = entpur.mc_simulate(9, 0.8, mc_samples, seed)
-        checks.append(_check("mc_within_five_sigma",
-                             abs(mc.mc_estimate - mc.expected_fidelity),
-                             5.0 * mc.mc_stderr))
-    except Exception as exc:
-        checks.append({"name": "monte_carlo", "passed": False,
-                       "max_error": math.inf, "tolerance": 0.0,
-                       "error": f"{type(exc).__name__}: {exc}"})
-    return checks
-
-
-def cmd_validate(cfg: RunConfig) -> int:
-    samples = cfg.mc_samples if cfg.mc_samples is not None else _DEFAULT_VALIDATE_SAMPLES
-    checks = run_validation_checks(seed=cfg.seed, mc_samples=samples)
+def cmd_validate(args: argparse.Namespace) -> int:
+    samples = args.mc_samples if args.mc_samples is not None else DEFAULT_MC_SAMPLES
+    checks = run_validation_checks(seed=args.seed, mc_samples=samples)
     passed = all(c["passed"] for c in checks)
-    summary = {"passed": passed, "seed": cfg.seed, "mc_samples": samples,
+    summary = {"passed": passed, "seed": args.seed, "mc_samples": samples,
                "failed": [c["name"] for c in checks if not c["passed"]], "checks": checks}
-    _emit(json.dumps(summary, indent=2) + "\n", cfg)
+    _emit(json.dumps(summary, indent=2) + "\n", args)
     return EXIT_OK if passed else EXIT_VALIDATION
 
 
@@ -389,28 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(
-        command=args.command,
-        method=getattr(args, "method", None),
-        n=getattr(args, "n", None) if args.command == "strategy" else None,
-        n_max=getattr(args, "n_max", None),
-        lambda0=getattr(args, "lambda0", None),
-        grid_points=getattr(args, "grid", 50),
-        mc_samples=getattr(args, "mc_samples", None),
-        seed=getattr(args, "seed", 0),
-        output_path=getattr(args, "output", None),
-        format=getattr(args, "format", "csv"),
-        precision=getattr(args, "precision", 12),
-        distribution=getattr(args, "distribution", False),
-    )
-    if args.command == "sweep":
-        cfg.n_values = _parse_int_list(args.n, "--n")
-        raw = args.methods.strip()
-        cfg.methods = ("all",) if raw == "all" else tuple(m.strip() for m in raw.split(","))
-    return cfg
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -418,12 +229,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_INPUT
     try:
-        cfg = _config_from_args(args)
-        return _HANDLERS[cfg.command](cfg)
+        if not 6 <= args.precision <= 17:
+            raise ValueError("--precision must lie in 6..17")
+        return _HANDLERS[args.command](args)
     except AmbiguousCrossingError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_AMBIGUOUS
-    except ValueError as exc:
+    except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except OSError as exc:

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qmath
-from .channel import single_shot_fidelity
-from .qmath import BellDiagonal
+from .channel import LAMBDA_CRIT, single_shot_fidelity
+from .qmath import BellDiagonal, require_lambda
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 # One side rotates by +pi/2 about x, the other by -pi/2, before the CNOTs.
@@ -32,14 +32,9 @@ _ROT_BACKWARD = _SQRT_HALF * (qmath.ID2 + 1j * qmath.SIGMA_X)
 _KET_PROJ = (np.array([[1, 0], [0, 0]], dtype=complex), np.array([[0, 0], [0, 1]], dtype=complex))
 
 
-def _require_unit_interval(lam: float) -> None:
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError("lambda must lie in [0, 1]")
-
-
 def pass_probability(lam: float) -> float:
     """Probability (8*lam**2 - 4*lam + 5)/9 that one purification step keeps the pair."""
-    _require_unit_interval(lam)
+    require_lambda(lam)
     return (8.0 * lam * lam - 4.0 * lam + 5.0) / 9.0
 
 
@@ -49,7 +44,7 @@ def purify_lambda(lam: float) -> float:
     Fixed points at 1/2 and 1; strictly improving in between, strictly
     degrading below 1/2.
     """
-    _require_unit_interval(lam)
+    require_lambda(lam)
     return (10.0 * lam * lam - 2.0 * lam + 1.0) / (8.0 * lam * lam - 4.0 * lam + 5.0)
 
 
@@ -83,7 +78,7 @@ def step_oracle(lam: float) -> tuple[BellDiagonal, float]:
     basis, and keeps the coinciding outcomes. Returns the Bell weights of
     the surviving pair and the total coincidence probability.
     """
-    _require_unit_interval(lam)
+    require_lambda(lam)
     werner = qmath.werner_density(lam)
     rho = qmath.tensor(werner, werner)
     for q in (0, 2):
@@ -138,8 +133,7 @@ def _lambda_sequence(lam0: float, rounds: int) -> list[float]:
 def _validate_run_args(n_ebits: int, lam0: float) -> None:
     if n_ebits < 1:
         raise ValueError("the run needs at least one pair")
-    if not 0.25 <= lam0 <= 1.0:
-        raise ValueError("channel parameter must lie in [1/4, 1]")
+    require_lambda(lam0, LAMBDA_CRIT)
 
 
 def enumerate_paths(n_ebits: int, lam0: float) -> list[tuple[float, float]]:

@@ -15,8 +15,6 @@ class EstimationResult:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("n must be at least 1")
-        if self.fidelity != (self.n + 1) / (self.n + 2):
-            raise ValueError("fidelity must equal (n+1)/(n+2)")
 
 
 def estimation_fidelity(n: int) -> EstimationResult:

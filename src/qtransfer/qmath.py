@@ -86,6 +86,20 @@ class BellDiagonal:
         return (self.w_phi_plus, self.w_psi_plus, self.w_phi_minus, self.w_psi_minus)
 
 
+def require_lambda(lam: float, low: float = 0.0) -> None:
+    """Reject a Werner parameter outside [low, 1], NaN included.
+
+    The convention throughout the package: every closed form and oracle
+    accepts the full mathematical range [0, 1], and the transfer strategies
+    (`entpur` runs and `qubitpur.average_fidelity`) require
+    [1/4, 1] (`channel.LAMBDA_CRIT`), below which a teleported copy is worse
+    than a coin flip. The message is formatted only when the check fails,
+    because the path enumeration calls this once per outcome path.
+    """
+    if not low <= lam <= 1.0:
+        raise ValueError(f"lambda must lie in [{low:g}, 1], got {lam}")
+
+
 def _qubit_count(dim: int) -> int:
     if dim < 2 or dim & (dim - 1):
         raise ValueError(f"dimension {dim} is not a power of two")
@@ -122,8 +136,7 @@ def bell_state(label: str) -> np.ndarray:
 
 def werner_density(lam: float) -> np.ndarray:
     """Two-qubit mixture with weight lam on phi+ and (1-lam)/3 on each other Bell projector."""
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError("lambda must lie in [0, 1]")
+    require_lambda(lam)
     rho = lam * _proj(_BELL_VECTORS["phi+"])
     rest = (1.0 - lam) / 3.0
     for label in ("psi+", "phi-", "psi-"):
@@ -139,14 +152,6 @@ def bell_diagonal_weights(rho: np.ndarray) -> BellDiagonal:
     w = {label: float(np.real(np.vdot(_BELL_VECTORS[label], rho @ _BELL_VECTORS[label])))
          for label in BELL_LABELS}
     return BellDiagonal(w["phi+"], w["psi+"], w["phi-"], w["psi-"])
-
-
-def twirl_to_werner(bd: BellDiagonal) -> float:
-    """Werner parameter left after local random rotations equalize the non-phi+ weights.
-
-    Twirling preserves the phi+ weight, so the result is exactly w_phi_plus.
-    """
-    return bd.w_phi_plus
 
 
 def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:

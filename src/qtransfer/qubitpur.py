@@ -20,26 +20,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import qmath
-from .channel import MixtureCoefficients
-from .qmath import BlochAngles
+from . import channel, qmath
+from .qmath import BlochAngles, require_lambda
 
 #: Probe state used by the oracles when no angles are given; the results
 #: are provably independent of this choice, which the tests verify.
 DEFAULT_PROBE_ANGLES = BlochAngles(theta=1.2, phi=2.2)
 
 _SPIN_GROUP_RTOL = 1e-8
-
-
-def _require_unit_interval(lam0: float) -> None:
-    if not 0.0 <= lam0 <= 1.0:
-        raise ValueError("lambda must lie in [0, 1]")
-
-
-def mixture_coefficients(lam0: float) -> MixtureCoefficients:
-    """Weights ((1+2*lam0)/3, 2*(1-lam0)/3) of each teleported copy's two components."""
-    _require_unit_interval(lam0)
-    return MixtureCoefficients(c1=(1.0 + 2.0 * lam0) / 3.0, c0=2.0 * (1.0 - lam0) / 3.0)
 
 
 def multiplicity(n: int, m: int) -> int:
@@ -88,7 +76,7 @@ def outcome_distribution(n: int, lam0: float) -> OutcomeDistribution:
     """Probability of each surviving-block size m for n teleported copies."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    coeffs = mixture_coefficients(lam0)
+    coeffs = channel.teleport_map(lam0)
     c1, c0 = coeffs.c1, coeffs.c0
     probs = {}
     for m in range(n % 2, n + 1, 2):
@@ -106,10 +94,9 @@ def single_qubit_fidelity(m: int, lam0: float) -> float:
     """
     if m < 0:
         raise ValueError("m must be nonnegative")
-    _require_unit_interval(lam0)
+    coeffs = channel.teleport_map(lam0)
     if m == 0:
         return 0.5
-    coeffs = mixture_coefficients(lam0)
     c1, c0 = coeffs.c1, coeffs.c0
     numerator = math.fsum(c1 ** k * _split_sum(c1, c0, m - 1 - k) for k in range(m))
     return c1 * numerator / (m * _split_sum(c1, c0, m))
@@ -123,19 +110,12 @@ class QubitPurResult:
     distribution: OutcomeDistribution
     per_m_fidelity: dict[int, float]
 
-    def __post_init__(self):
-        recomputed = math.fsum(self.distribution.probs[m] * self.per_m_fidelity[m]
-                               for m in self.distribution.probs)
-        if abs(recomputed - self.expected_fidelity) > 1e-12:
-            raise ValueError("expected fidelity is inconsistent with its parts")
-
 
 def average_fidelity(n: int, lam0: float) -> QubitPurResult:
     """Average fidelity sum_m p_m f_m of the strategy for n copies."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    if not 0.25 <= lam0 <= 1.0:
-        raise ValueError("channel parameter must lie in [1/4, 1]")
+    require_lambda(lam0, channel.LAMBDA_CRIT)
     dist = outcome_distribution(n, lam0)
     per_m = {m: single_qubit_fidelity(m, lam0) for m in dist.probs}
     expected = math.fsum(dist.probs[m] * per_m[m] for m in dist.probs)
@@ -171,12 +151,7 @@ def spin_projector_oracle(n: int, lam0: float, angles: BlochAngles | None = None
     """
     if not 1 <= n <= 8:
         raise ValueError("the spin-sector oracle supports 1 to 8 copies")
-    _require_unit_interval(lam0)
-    probe = angles if angles is not None else DEFAULT_PROBE_ANGLES
-    psi = qmath.bloch_to_ket(probe)
-    psi_bar = qmath.orthogonal_ket(probe)
-    coeffs = mixture_coefficients(lam0)
-    single = coeffs.c1 * np.outer(psi, psi.conj()) + coeffs.c0 * np.outer(psi_bar, psi_bar.conj())
+    single = channel.output_state(lam0, angles if angles is not None else DEFAULT_PROBE_ANGLES)
     rho = functools.reduce(np.kron, [single] * n)
 
     eigenvalues, eigenvectors = np.linalg.eigh(_total_spin_squared(n))
@@ -215,12 +190,11 @@ def reduced_state_quadrature_oracle(m: int, lam0: float, nodes: int = 64,
         raise ValueError("the quadrature oracle supports block sizes 1 to 4")
     if nodes < 32:
         raise ValueError("at least 32 quadrature nodes are required")
-    _require_unit_interval(lam0)
+    coeffs = channel.teleport_map(lam0)
+    c1, c0 = coeffs.c1, coeffs.c0
     probe = angles if angles is not None else DEFAULT_PROBE_ANGLES
     psi = qmath.bloch_to_ket(probe)
     psi_bar = qmath.orthogonal_ket(probe)
-    coeffs = mixture_coefficients(lam0)
-    c1, c0 = coeffs.c1, coeffs.c0
 
     x, w = np.polynomial.legendre.leggauss(nodes)
     half_angles = 0.5 * np.arccos(x)

@@ -25,7 +25,7 @@ class TestTeleportMap:
         coeffs = channel.teleport_map(0.7)
         assert (coeffs.c1, coeffs.c0) == pytest.approx((0.8, 0.2), abs=1e-15)
 
-    @pytest.mark.parametrize("lam", [0.2, -0.1, 1.1])
+    @pytest.mark.parametrize("lam", [-0.1, 1.1, float("nan")])
     def test_rejects_out_of_protocol_range(self, lam):
         with pytest.raises(ValueError):
             channel.teleport_map(lam)
@@ -65,15 +65,11 @@ class TestTeleportOracle:
             assert np.max(np.abs(out - channel.output_state(lam, angles))) < 1e-12
 
     def test_matches_mixture_below_protocol_range(self):
-        # The closed-form mixture extends mathematically below the
-        # protocol threshold even though teleport_map refuses it there.
-        lam = 0.1
+        # The closed-form mixture covers the whole mathematical range,
+        # including channels below the protocol threshold LAMBDA_CRIT.
         angles = BlochAngles(theta=1.3, phi=0.4)
-        psi = qmath.bloch_to_ket(angles)
-        psi_bar = qmath.orthogonal_ket(angles)
-        expected = ((1 + 2 * lam) / 3 * np.outer(psi, psi.conj())
-                    + 2 * (1 - lam) / 3 * np.outer(psi_bar, psi_bar.conj()))
-        np.testing.assert_allclose(channel.teleport_oracle(lam, angles), expected, atol=1e-12)
+        np.testing.assert_allclose(channel.teleport_oracle(0.1, angles),
+                                   channel.output_state(0.1, angles), atol=1e-12)
 
     def test_fidelity_is_angle_independent(self):
         rng = np.random.default_rng(13)

@@ -66,6 +66,23 @@ class TestStrategy:
         assert main(["strategy", "qubit", "--n", "3", "--lambda0", "0.2"]) == 2
         capsys.readouterr()
 
+    def test_nan_channel_is_an_input_error(self, capsys):
+        assert main(["strategy", "ent", "--n", "3", "--lambda0", "nan"]) == 2
+        assert "lambda must lie in" in capsys.readouterr().err
+
+    def test_arithmetic_failure_is_an_input_error(self, monkeypatch, capsys):
+        from qtransfer import qubitpur
+
+        def overflowing(n, lam0):
+            raise OverflowError("int too large to convert to float")
+
+        monkeypatch.setattr(qubitpur, "average_fidelity", overflowing)
+        assert main(["strategy", "qubit", "--n", "3", "--lambda0", "0.8"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "Traceback" not in captured.err
+
 
 class TestSweep:
     def test_row_count_and_header(self, tmp_path):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qtransfer import channel, entpur, qmath
+from qtransfer import channel, entpur
 from qtransfer.entpur import EntPurResult
 
 
@@ -41,7 +41,7 @@ class TestStepClosedForms:
     def test_twirled_weight_equals_purify(self):
         for lam in np.linspace(0.0, 1.0, 21):
             bd, _ = entpur.purified_bell_diagonal(float(lam))
-            assert abs(qmath.twirl_to_werner(bd) - entpur.purify_lambda(float(lam))) < 1e-12
+            assert abs(bd.w_phi_plus - entpur.purify_lambda(float(lam))) < 1e-12
 
 
 class TestOutcomeProbability:

@@ -1,0 +1,79 @@
+"""Golden outputs: the README's command-line examples and the oracle suite's layout.
+
+The determinism tests elsewhere compare two runs of the same code; these
+compare against fixed text, so a change that alters a printed digit,
+reorders the checks or renames one fails here.
+"""
+
+import json
+import shlex
+from pathlib import Path
+
+import pytest
+
+from qtransfer.cli import main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_examples() -> dict[str, str]:
+    """Map each `$ qtransfer ...` line in the README's text blocks to the output under it."""
+    examples = {}
+    in_block = False
+    command = None
+    for line in README.read_text(encoding="utf-8").splitlines():
+        if line.startswith("```"):
+            in_block = line == "```text"
+            command = None
+        elif in_block and line.startswith("$ qtransfer "):
+            command = line[len("$ qtransfer "):]
+            examples[command] = ""
+        elif in_block and command is not None:
+            if line:
+                examples[command] += line + "\n"
+            else:
+                command = None
+    return examples
+
+
+EXAMPLES = _readme_examples()
+
+
+def test_readme_lists_the_expected_examples():
+    assert list(EXAMPLES) == [
+        "single --lambda0 0.7",
+        "strategy ent --n 3 --lambda0 0.8",
+        "strategy qubit --n 2 --lambda0 0.7 --distribution",
+        "strategy est --n 9",
+        "crossings --n-max 4",
+    ]
+
+
+@pytest.mark.parametrize("command", list(EXAMPLES))
+def test_readme_example_output(command, capsys):
+    assert main(shlex.split(command)) == 0
+    assert capsys.readouterr().out == EXAMPLES[command]
+
+
+def test_validate_check_layout(capsys):
+    assert main(["validate", "--seed", "7", "--mc-samples", "20000"]) == 0
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    layout = [(c["name"], c["passed"], c["tolerance"]) for c in checks]
+    # The Monte Carlo tolerance is five standard errors of the seeded sample.
+    assert layout == [
+        ("teleport_mixture_match", True, 1e-12),
+        ("teleport_fidelity_match", True, 1e-12),
+        ("teleport_outcomes_uniform", True, 1e-12),
+        ("purification_step_weights_match", True, 1e-12),
+        ("purification_step_pass_probability_match", True, 1e-12),
+        ("purification_twirl_consistency", True, 1e-12),
+        ("purification_fixed_points", True, 1e-14),
+        ("purification_gain_above_half", True, 0.0),
+        ("outcome_distribution_normalization", True, 1e-12),
+        ("spin_projector_match", True, 1e-10),
+        ("quadrature_fidelity_match", True, 1e-06),
+        ("small_supply_identities", True, 1e-12),
+        ("run_single_pair_identity", True, 1e-14),
+        ("run_path_weights_normalized", True, 1e-12),
+        ("mc_within_five_sigma", True, pytest.approx(0.0006648064200072848, rel=1e-9)),
+    ]

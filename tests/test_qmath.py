@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qtransfer import qmath
+from qtransfer import channel, entpur, qmath, qubitpur
 from qtransfer.qmath import BellDiagonal, BlochAngles
 
 
@@ -97,23 +97,36 @@ class TestWernerState:
             qmath.werner_density(1.2)
 
 
-class TestTwirl:
-    def test_roundtrip_is_exact_on_werner_weights(self):
-        rng = np.random.default_rng(4)
-        for lam in rng.uniform(0.0, 1.0, size=100):
-            lam = float(lam)
-            rest = (1.0 - lam) / 3.0
-            bd = BellDiagonal(lam, rest, rest, rest)
-            assert qmath.twirl_to_werner(bd) == lam
+class TestLambdaDomain:
+    # Every closed form shares one domain check, qmath.require_lambda:
+    # [0, 1] for the closed forms, [1/4, 1] for the two strategy evaluators.
+    CASES = {
+        "single_shot_fidelity": (channel.single_shot_fidelity, 0.0),
+        "teleport_map": (channel.teleport_map, 0.0),
+        "werner_density": (qmath.werner_density, 0.0),
+        "pass_probability": (entpur.pass_probability, 0.0),
+        "outcome_distribution": (lambda lam: qubitpur.outcome_distribution(3, lam), 0.0),
+        "single_qubit_fidelity": (lambda lam: qubitpur.single_qubit_fidelity(2, lam), 0.0),
+        "expected_fidelity_dp": (lambda lam: entpur.expected_fidelity_dp(3, lam), 0.25),
+        "average_fidelity": (lambda lam: qubitpur.average_fidelity(3, lam), 0.25),
+    }
 
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_rejects_values_outside_the_domain(self, name):
+        fn, low = self.CASES[name]
+        bad = [float("nan"), -0.1, 1.1] + ([0.2] if low > 0.0 else [])
+        for lam in bad:
+            with pytest.raises(ValueError, match="lambda must lie in"):
+                fn(lam)
+        fn(low)
+        fn(1.0)
+
+
+class TestTwirl:
     def test_extraction_roundtrip_within_tolerance(self):
         for lam in (0.0, 0.25, 0.5, 0.8, 1.0):
             bd = qmath.bell_diagonal_weights(qmath.werner_density(lam))
-            assert abs(qmath.twirl_to_werner(bd) - lam) < 1e-12
-
-    def test_degenerate_inputs(self):
-        assert qmath.twirl_to_werner(BellDiagonal(1.0, 0.0, 0.0, 0.0)) == 1.0
-        assert qmath.twirl_to_werner(BellDiagonal(0.25, 0.25, 0.25, 0.25)) == 0.25
+            assert abs(bd.w_phi_plus - lam) < 1e-12
 
     def test_bell_diagonal_rejects_bad_weights(self):
         with pytest.raises(ValueError):

@@ -11,8 +11,12 @@ class TestMixtureCoefficients:
     @pytest.mark.parametrize("lam0,expected", [(1.0, (1.0, 0.0)), (0.25, (0.5, 0.5)),
                                                (0.7, (0.8, 0.2))])
     def test_values(self, lam0, expected):
-        coeffs = qubitpur.mixture_coefficients(lam0)
+        # The block distribution is built on the channel's mixture: two
+        # copies leave nothing behind with probability c1 * c0.
+        coeffs = channel.teleport_map(lam0)
         assert (coeffs.c1, coeffs.c0) == pytest.approx(expected, abs=1e-15)
+        assert qubitpur.outcome_distribution(2, lam0).probs[0] == pytest.approx(
+            expected[0] * expected[1], abs=1e-15)
 
 
 class TestMultiplicity:
