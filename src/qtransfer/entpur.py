@@ -9,8 +9,13 @@ with the stored one), or when everything is gone (completely mixed output,
 fidelity 1/2).
 
 This module provides the one-step closed forms, a 16x16 matrix oracle for
-the step, the exact expected fidelity of the whole run by exhaustive path
-enumeration, and a seeded vectorized Monte Carlo cross-check.
+the step, the exact expected fidelity of the whole run, and a seeded
+vectorized Monte Carlo cross-check. The exact expectation is a dynamic
+programme over the walk state (pair count, round, round of the stored
+pair): N pairs reach about 1.4 N states (257 at N=193) and about N^2/10
+binomial terms in all. Enumerating every outcome path instead grows
+super-polynomially (169,396 paths at N=193); `enumerate_paths` keeps that
+walk as the small-N oracle.
 """
 
 from __future__ import annotations
@@ -60,13 +65,21 @@ def purified_bell_diagonal(lam: float) -> tuple[BellDiagonal, float]:
 
 
 def outcome_probability(pairs: int, j: int, lam: float) -> float:
-    """Binomial chance that j of `pairs` simultaneous purification attempts survive."""
+    """Binomial chance that j of `pairs` simultaneous purification attempts survive.
+
+    Evaluated in log space, so no intermediate factor overflows or
+    underflows a float however many pairs there are: the coefficient is an
+    exact integer and only its logarithm is rounded.
+    """
     if pairs < 1:
         raise ValueError("pairs must be at least 1")
     if not 0 <= j <= pairs:
         raise ValueError(f"j must lie in 0..{pairs}")
     p = pass_probability(lam)
-    return math.comb(pairs, j) * p ** j * (1.0 - p) ** (pairs - j)
+    if p == 1.0:
+        return float(j == pairs)
+    return math.exp(math.log(math.comb(pairs, j)) + j * math.log(p)
+                    + (pairs - j) * math.log(1.0 - p))
 
 
 def step_oracle(lam: float) -> tuple[BellDiagonal, float]:
@@ -144,6 +157,9 @@ def enumerate_paths(n_ebits: int, lam0: float) -> list[tuple[float, float]]:
     continues with the rest; a count of zero falls back on the stored pair
     (or on fidelity 1/2 if none was ever stored); j surviving pairs out of
     count/2 attempts branch binomially, with j = 1 teleporting immediately.
+
+    The number of paths grows super-polynomially in n_ebits, so this is
+    the small-N oracle for `expected_fidelity_dp`, not an evaluator.
     """
     _validate_run_args(n_ebits, lam0)
     lam_seq = _lambda_sequence(lam0, _max_rounds(n_ebits))
@@ -173,11 +189,52 @@ def enumerate_paths(n_ebits: int, lam0: float) -> list[tuple[float, float]]:
     return paths
 
 
+def _walk_state(count: int, rnd: int, stored: int, lam_seq: list[float],
+                fid_seq: list[float], memo: dict) -> tuple[float, int]:
+    """Expected terminal fidelity and number of outcome paths from one walk state.
+
+    The state and its branches are those of `enumerate_paths`, with -1 for
+    "no pair stored". Each value is written as its fallback plus the
+    weighted gains over it, fb + sum_j w_j (v_j - fb): where every branch
+    ends at the fallback fidelity (lam0 = 1/2 with a stored pair, a fixed
+    point of the purification map) the sum is exactly zero and the value
+    is the fallback itself, not a rounding of it.
+    """
+    if count % 2 == 1:
+        stored = rnd
+        count -= 1
+    fallback = fid_seq[stored] if stored >= 0 else 0.5
+    if count == 0:
+        return fallback, 1
+    key = (count, rnd, stored)
+    if key in memo:
+        return memo[key]
+    pairs = count // 2
+    gains = []
+    paths = 2  # the j = 0 and j = 1 branches end the run
+    for j in range(1, pairs + 1):
+        if j == 1:
+            value = fid_seq[rnd + 1]
+        else:
+            value, sub_paths = _walk_state(j, rnd + 1, stored, lam_seq, fid_seq, memo)
+            paths += sub_paths
+        gains.append(outcome_probability(pairs, j, lam_seq[rnd]) * (value - fallback))
+    memo[key] = result = (fallback + math.fsum(gains), paths)
+    return result
+
+
 def expected_fidelity_dp(n_ebits: int, lam0: float) -> EntPurResult:
-    """Exact expectation of the run's terminal fidelity over all outcome paths."""
-    paths = enumerate_paths(n_ebits, lam0)
-    expected = math.fsum(prob * fid for prob, fid in paths)
-    return EntPurResult(expected_fidelity=expected, path_count=len(paths))
+    """Exact expectation of the run's terminal fidelity over all outcome paths.
+
+    A memoized dynamic programme over the walk state of `enumerate_paths`;
+    `path_count` is the number of outcome paths that walk would list,
+    counted by the same programme.
+    """
+    _validate_run_args(n_ebits, lam0)
+    lam_seq = _lambda_sequence(lam0, _max_rounds(n_ebits))
+    fid_seq = [single_shot_fidelity(lam) for lam in lam_seq]
+    expected, paths = _walk_state(n_ebits, 0, -1, lam_seq, fid_seq, {})
+    return EntPurResult(expected_fidelity=expected, path_count=paths)
 
 
 def mc_simulate(n_ebits: int, lam0: float, samples: int, seed: int) -> EntPurResult:

@@ -28,6 +28,7 @@ from .qmath import BlochAngles, require_lambda
 DEFAULT_PROBE_ANGLES = BlochAngles(theta=1.2, phi=2.2)
 
 _SPIN_GROUP_RTOL = 1e-8
+_RESCALE_BITS = 512  # running sums below 2^-512 are scaled up by 2^512
 
 
 def multiplicity(n: int, m: int) -> int:
@@ -46,11 +47,32 @@ def multiplicity(n: int, m: int) -> int:
     return math.comb(n, k) - math.comb(n, k - 1)
 
 
-def _split_sum(c1: float, c0: float, order: int) -> float:
-    # Homogeneous geometric sum c1^order + c1^(order-1) c0 + ... + c0^order.
-    # Equals (c1^(order+1) - c0^(order+1))/(c1 - c0) but stays finite and
-    # stable arbitrarily close to the degenerate point c1 = c0.
-    return math.fsum(c1 ** k * c0 ** (order - k) for k in range(order + 1))
+def _block_sums(m_max: int, lam0: float) -> tuple[list[tuple[float, int]], list[float]]:
+    """Geometric sums S_m and block fidelities f_m for block sizes m = 0..m_max.
+
+    S_m = c1^m + c1^(m-1) c0 + ... + c0^m = c0^m + c1 S_(m-1), and with
+    T_m = S_(m-1) + c1 T_(m-1), T_0 = 0, a block of size m >= 1 has fidelity
+    f_m = c1 T_m / (m S_m); f_0 = 1/2. Every term is positive, so one pass
+    is stable at the degenerate point c1 = c0 (lam0 = 1/4, where f_m is
+    exactly 1/2). S_m shrinks like c1^m, so the running values are rescaled
+    by exact powers of two before they can underflow; that changes no ratio
+    and no rounding. S_m is returned as a pair (value, exponent) with
+    S_m = ldexp(value, exponent).
+    """
+    coeffs = channel.teleport_map(lam0)
+    c1, c0 = coeffs.c1, coeffs.c0
+    power, s, t, shift = 1.0, 1.0, 0.0, 0  # c0^m, S_m and T_m, each times 2^shift
+    sums, fidelities = [(1.0, 0)], [0.5]
+    for m in range(1, m_max + 1):
+        t = s + c1 * t
+        power *= c0
+        s = power + c1 * s
+        sums.append((s, -shift))
+        fidelities.append(c1 * t / (m * s))
+        if s < 2.0 ** -_RESCALE_BITS:
+            power, s, t = (math.ldexp(x, _RESCALE_BITS) for x in (power, s, t))
+            shift += _RESCALE_BITS
+    return sums, fidelities
 
 
 @dataclass(frozen=True)
@@ -73,14 +95,31 @@ class OutcomeDistribution:
 
 
 def outcome_distribution(n: int, lam0: float) -> OutcomeDistribution:
-    """Probability of each surviving-block size m for n teleported copies."""
+    """Probability multiplicity(n, m) (c0 c1)^k S_m of each surviving-block size m.
+
+    k = (n - m)/2 copies leave as singlets. The multiplicities are exact
+    integers from one binomial recurrence, and each factor is carried as a
+    float and a binary exponent, so nothing overflows or underflows before
+    the product is formed, at any n.
+    """
     if n < 1:
         raise ValueError("n must be at least 1")
     coeffs = channel.teleport_map(lam0)
-    c1, c0 = coeffs.c1, coeffs.c0
-    probs = {}
-    for m in range(n % 2, n + 1, 2):
-        probs[m] = multiplicity(n, m) * (c0 * c1) ** ((n - m) // 2) * _split_sum(c1, c0, m)
+    sums, _ = _block_sums(n, lam0)
+    pair = coeffs.c0 * coeffs.c1
+    power, power_exp = 1.0, 0  # (c0 c1)^k = ldexp(power, power_exp)
+    binom_below, binom = 0, 1  # C(n, k - 1) and C(n, k)
+    weights = []
+    for k in range(n // 2 + 1):
+        mult = binom - binom_below  # multiplicity(n, n - 2k)
+        mult_exp = max(mult.bit_length() - 64, 0)
+        s_value, s_exp = sums[n - 2 * k]
+        weights.append(math.ldexp(float(mult >> mult_exp) * power * s_value,
+                                  mult_exp + power_exp + s_exp))
+        power, exp = math.frexp(power * pair)
+        power_exp += exp
+        binom_below, binom = binom, binom * (n - k) // (k + 1)
+    probs = {n - 2 * k: weights[k] for k in reversed(range(n // 2 + 1))}
     return OutcomeDistribution(n=n, lambda0=lam0, probs=probs)
 
 
@@ -88,18 +127,13 @@ def single_qubit_fidelity(m: int, lam0: float) -> float:
     """Fidelity of one copy drawn from a surviving block of size m.
 
     For m = 0 nothing survives and the value is 1/2. For m >= 1 the closed
-    form is evaluated through homogeneous geometric sums, so the
+    form is evaluated through homogeneous geometric sums in O(m), so the
     degenerate point lam0 = 1/4 (where both mixture weights are 1/2) needs
     no special casing and yields exactly 1/2.
     """
     if m < 0:
         raise ValueError("m must be nonnegative")
-    coeffs = channel.teleport_map(lam0)
-    if m == 0:
-        return 0.5
-    c1, c0 = coeffs.c1, coeffs.c0
-    numerator = math.fsum(c1 ** k * _split_sum(c1, c0, m - 1 - k) for k in range(m))
-    return c1 * numerator / (m * _split_sum(c1, c0, m))
+    return _block_sums(m, lam0)[1][m]
 
 
 @dataclass(frozen=True)
@@ -112,12 +146,13 @@ class QubitPurResult:
 
 
 def average_fidelity(n: int, lam0: float) -> QubitPurResult:
-    """Average fidelity sum_m p_m f_m of the strategy for n copies."""
+    """Average fidelity sum_m p_m f_m of the strategy for n copies, in O(n)."""
     if n < 1:
         raise ValueError("n must be at least 1")
     require_lambda(lam0, channel.LAMBDA_CRIT)
     dist = outcome_distribution(n, lam0)
-    per_m = {m: single_qubit_fidelity(m, lam0) for m in dist.probs}
+    fidelities = _block_sums(n, lam0)[1]
+    per_m = {m: fidelities[m] for m in dist.probs}
     expected = math.fsum(dist.probs[m] * per_m[m] for m in dist.probs)
     return QubitPurResult(expected_fidelity=expected, distribution=dist, per_m_fidelity=per_m)
 
@@ -207,6 +242,7 @@ def reduced_state_quadrature_oracle(m: int, lam0: float, nodes: int = 64,
     for _ in range(m):
         block = (block[:, None, :] * kets[None, :, :]).reshape(block.shape[0] * 2, -1)
     weights = np.repeat(0.5 * w, nodes) / nodes
-    rho_block = (m + 1) / _split_sum(c1, c0, m) * ((block * weights[None, :]) @ block.conj().T)
+    geometric_sum = math.ldexp(*_block_sums(m, lam0)[0][m])  # S_m
+    rho_block = (m + 1) / geometric_sum * ((block * weights[None, :]) @ block.conj().T)
     reduced = qmath.partial_trace(rho_block, keep=[0])
     return qmath.fidelity_pure(psi, reduced)

@@ -58,6 +58,14 @@ class TestStrategy:
         assert report["seed"] == 3
         assert abs(report["mc_estimate"] - report["fidelity"]) <= 5 * report["mc_stderr"]
 
+    def test_large_supply_reports_a_fidelity(self, capsys):
+        # From about 1035 copies the block multiplicities no longer fit a float.
+        assert main(["strategy", "qubit", "--n", "1040", "--lambda0", "0.8",
+                     "--distribution"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert 0.99 < report["fidelity"] < 1.0
+        assert len(report["distribution"]) == 521
+
     def test_missing_lambda_is_an_input_error(self, capsys):
         assert main(["strategy", "ent", "--n", "3"]) == 2
         capsys.readouterr()

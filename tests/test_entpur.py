@@ -1,3 +1,4 @@
+import gc
 import math
 
 import numpy as np
@@ -59,6 +60,11 @@ class TestOutcomeProbability:
         expected = 4 * p**3 * (1 - p)
         assert entpur.outcome_probability(4, 3, 0.8) == pytest.approx(expected, abs=1e-15)
 
+    def test_large_supply_is_finite_and_normalized(self):
+        probs = [entpur.outcome_probability(3000, j, 0.8) for j in range(3001)]
+        assert all(math.isfinite(p) and p >= 0.0 for p in probs)
+        assert abs(math.fsum(probs) - 1.0) < 1e-12
+
     def test_rejects_bad_counts(self):
         with pytest.raises(ValueError):
             entpur.outcome_probability(2, 3, 0.5)
@@ -118,6 +124,24 @@ class TestRunExpectation:
                 paths = entpur.enumerate_paths(n, lam0)
                 assert abs(math.fsum(p for p, _ in paths) - 1.0) < 1e-12
                 assert all(0.5 <= fid <= 1.0 + 1e-12 for _, fid in paths)
+
+    def test_matches_path_enumeration(self):
+        for n in range(1, 41):
+            for lam0 in (0.26, 0.5, 0.8, 0.999):
+                paths = entpur.enumerate_paths(n, lam0)
+                result = entpur.expected_fidelity_dp(n, lam0)
+                assert abs(result.expected_fidelity
+                           - math.fsum(p * fid for p, fid in paths)) <= 1e-14, (n, lam0)
+                assert result.path_count == len(paths), (n, lam0)
+
+    def test_leaves_no_reference_cycles(self):
+        gc.collect()
+        gc.disable()
+        try:
+            entpur.expected_fidelity_dp(193, 0.8)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_bounds(self):
         for n in range(1, 34):

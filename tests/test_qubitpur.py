@@ -1,5 +1,7 @@
+import functools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -85,8 +87,8 @@ class TestSingleQubitFidelity:
         assert qubitpur.single_qubit_fidelity(2, 0.7) == pytest.approx(6.0 / 7.0, abs=1e-12)
 
     def test_degenerate_point_limit(self):
-        for m in range(1, 7):
-            assert qubitpur.single_qubit_fidelity(m, 0.25) == pytest.approx(0.5, abs=1e-14)
+        for m in (*range(1, 7), 600, 1100, 4096):
+            assert qubitpur.single_qubit_fidelity(m, 0.25) == 0.5
 
     def test_matches_direct_ratio_away_from_degenerate_point(self):
         # Independent evaluation through the ratio form, valid when c1 != c0.
@@ -98,6 +100,21 @@ class TestSingleQubitFidelity:
                           - c1 / (c1 - c0)) / m
                 assert qubitpur.single_qubit_fidelity(m, lam0) == pytest.approx(direct,
                                                                                 abs=1e-10)
+
+    def test_matches_quadratic_double_sum(self):
+        # The O(m^2) evaluation the recurrence replaced: c1 sum_k c1^k S_(m-1-k) / (m S_m)
+        # with every homogeneous geometric sum S_j summed term by term.
+        def split_sum(c1, c0, order):
+            return math.fsum(c1 ** k * c0 ** (order - k) for k in range(order + 1))
+
+        for lam0 in (0.25, 0.2500001, 0.3, 0.625, 0.8, 0.999, 1.0):
+            coeffs = channel.teleport_map(lam0)
+            c1, c0 = coeffs.c1, coeffs.c0
+            for m in range(1, 61):
+                numerator = math.fsum(c1 ** k * split_sum(c1, c0, m - 1 - k) for k in range(m))
+                oracle = c1 * numerator / (m * split_sum(c1, c0, m))
+                assert qubitpur.single_qubit_fidelity(m, lam0) == pytest.approx(
+                    oracle, rel=1e-14, abs=0.0), (lam0, m)
 
     def test_blocks_beat_the_raw_channel(self):
         for lam0 in np.linspace(0.26, 0.99, 15):
@@ -126,6 +143,18 @@ class TestAverageFidelity:
                       for n in range(2, 21)]
             assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
 
+    @pytest.mark.parametrize("n", [1035, 2049, 4096])
+    def test_large_supply_matches_multiprecision_oracle(self, n):
+        for lam0 in (0.2500001, 0.3, 0.625, 0.8, 0.999):
+            value = qubitpur.average_fidelity(n, lam0).expected_fidelity
+            assert abs(value - _mp_average_fidelity(n, lam0)) <= 1e-12, (n, lam0)
+
+    def test_perfect_channel_keeps_every_copy(self):
+        result = qubitpur.average_fidelity(4096, 1.0)
+        assert result.expected_fidelity == 1.0
+        assert result.distribution.probs[4096] == 1.0
+        assert all(p == 0.0 for m, p in result.distribution.probs.items() if m != 4096)
+
     def test_result_carries_consistent_parts(self):
         result = qubitpur.average_fidelity(5, 0.7)
         recomputed = math.fsum(result.distribution.probs[m] * result.per_m_fidelity[m]
@@ -137,6 +166,35 @@ class TestAverageFidelity:
             qubitpur.average_fidelity(0, 0.5)
         with pytest.raises(ValueError):
             qubitpur.average_fidelity(3, 0.2)
+
+
+@functools.cache
+def _multiplicities(n):
+    return {m: qubitpur.multiplicity(n, m) for m in range(n % 2, n + 1, 2)}
+
+
+def _mp_average_fidelity(n, lam0, digits=50):
+    """sum_m p_m f_m from the ratio forms of the closed forms, in mpmath at `digits` digits.
+
+    S_m = (c1^(m+1) - c0^(m+1))/(c1 - c0), p_m = multiplicity(n, m) (c0 c1)^k S_m
+    and f_m = (m c1^(m+1) - c1 c0 S_(m-1)) / ((c1 - c0) m S_m); needs lam0 > 1/4.
+    """
+    with mpmath.workdps(digits):
+        lam = mpmath.mpf(lam0)
+        c1, c0 = (1 + 2 * lam) / 3, 2 * (1 - lam) / 3
+        pow1, pow0 = [mpmath.mpf(1)], [mpmath.mpf(1)]
+        for _ in range(n + 1):
+            pow1.append(pow1[-1] * c1)
+            pow0.append(pow0[-1] * c0)
+        geometric = [(pow1[m + 1] - pow0[m + 1]) / (c1 - c0) for m in range(n + 1)]
+        total = mpmath.mpf(0)
+        for m, mult in _multiplicities(n).items():
+            k = (n - m) // 2
+            prob = mult * pow0[k] * pow1[k] * geometric[m]
+            fid = (mpmath.mpf(0.5) if m == 0 else
+                   (m * pow1[m + 1] - c1 * c0 * geometric[m - 1]) / ((c1 - c0) * m * geometric[m]))
+            total += prob * fid
+        return float(total)
 
 
 class TestSpinProjectorOracle:
