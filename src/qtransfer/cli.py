@@ -14,7 +14,8 @@ Subcommands:
 All configuration is taken from flags (no environment variables or config
 files), so a run is fully reproducible from its command line. Exit codes:
 0 success, 1 validation failure, 2 input error (including an arithmetic
-failure such as an overflow), 3 I/O error, 4 ambiguous root bracketing.
+failure such as an overflow, or running out of memory), 3 I/O error,
+4 ambiguous root bracketing.
 """
 
 from __future__ import annotations
@@ -237,6 +238,9 @@ def main(argv=None) -> int:
         return EXIT_AMBIGUOUS
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except MemoryError as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_INPUT
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -12,10 +12,10 @@ This module provides the one-step closed forms, a 16x16 matrix oracle for
 the step, the exact expected fidelity of the whole run, and a seeded
 vectorized Monte Carlo cross-check. The exact expectation is a dynamic
 programme over the walk state (pair count, round, round of the stored
-pair): N pairs reach about 1.4 N states (257 at N=193) and about N^2/10
-binomial terms in all. Enumerating every outcome path instead grows
-super-polynomially (169,396 paths at N=193); `enumerate_paths` keeps that
-walk as the small-N oracle.
+pair): N pairs reach about 1.4 N states (257 at N=193), and each state
+takes its branch weights from one binomial row, about N^2/10 terms in all.
+Enumerating every outcome path instead grows super-polynomially (169,396
+paths at N=193); `enumerate_paths` keeps that walk as the small-N oracle.
 """
 
 from __future__ import annotations
@@ -64,22 +64,25 @@ def purified_bell_diagonal(lam: float) -> tuple[BellDiagonal, float]:
     return bd, p_pass
 
 
-def outcome_probability(pairs: int, j: int, lam: float) -> float:
-    """Binomial chance that j of `pairs` simultaneous purification attempts survive.
+def outcome_probabilities(pairs: int, lam: float) -> list[float]:
+    """Binomial chances that j = 0..pairs of `pairs` simultaneous purification attempts survive.
 
     Evaluated in log space, so no intermediate factor overflows or
-    underflows a float however many pairs there are: the coefficient is an
-    exact integer and only its logarithm is rounded.
+    underflows a float however many pairs there are: each coefficient is an
+    exact integer, carried along the row, and only its logarithm is rounded.
     """
     if pairs < 1:
         raise ValueError("pairs must be at least 1")
-    if not 0 <= j <= pairs:
-        raise ValueError(f"j must lie in 0..{pairs}")
     p = pass_probability(lam)
     if p == 1.0:
-        return float(j == pairs)
-    return math.exp(math.log(math.comb(pairs, j)) + j * math.log(p)
-                    + (pairs - j) * math.log(1.0 - p))
+        return [0.0] * pairs + [1.0]
+    log_p, log_q = math.log(p), math.log(1.0 - p)
+    row = []
+    coeff = 1
+    for j in range(pairs + 1):
+        row.append(math.exp(math.log(coeff) + j * log_p + (pairs - j) * log_q))
+        coeff = coeff * (pairs - j) // (j + 1)
+    return row
 
 
 def step_oracle(lam: float) -> tuple[BellDiagonal, float]:
@@ -132,60 +135,51 @@ class EntPurResult:
             raise ValueError("standard error must be nonnegative")
 
 
-def _max_rounds(n_ebits: int) -> int:
-    return max(1, math.ceil(math.log2(max(n_ebits, 2)))) + 1
+def _run_sequences(n_ebits: int, lam0: float) -> tuple[list[float], list[float]]:
+    """Check a run's arguments; return lambda and the teleportation fidelity by round.
 
-
-def _lambda_sequence(lam0: float, rounds: int) -> list[float]:
-    seq = [lam0]
-    for _ in range(rounds):
-        seq.append(purify_lambda(seq[-1]))
-    return seq
-
-
-def _validate_run_args(n_ebits: int, lam0: float) -> None:
+    Entry r is the value after r kept purification rounds, for every round
+    the run can reach.
+    """
     if n_ebits < 1:
         raise ValueError("the run needs at least one pair")
     require_lambda(lam0, LAMBDA_CRIT)
+    lam_seq = [lam0]
+    for _ in range(max(1, math.ceil(math.log2(max(n_ebits, 2)))) + 1):
+        lam_seq.append(purify_lambda(lam_seq[-1]))
+    return lam_seq, [single_shot_fidelity(lam) for lam in lam_seq]
 
 
 def enumerate_paths(n_ebits: int, lam0: float) -> list[tuple[float, float]]:
     """Every (probability, terminal fidelity) pair of the repeated-purification run.
 
     The walk state is (pair count, completed rounds, round of the lastly
-    stored pair). An odd count stores one pair at the current round and
-    continues with the rest; a count of zero falls back on the stored pair
-    (or on fidelity 1/2 if none was ever stored); j surviving pairs out of
-    count/2 attempts branch binomially, with j = 1 teleporting immediately.
+    stored pair, -1 if none). An odd count stores one pair at the current
+    round and continues with the rest; a count of zero falls back on the
+    stored pair (or on fidelity 1/2 if none was ever stored); j surviving
+    pairs out of count/2 attempts branch binomially, with j = 1 teleporting
+    immediately. Pending states are kept on an explicit stack.
 
     The number of paths grows super-polynomially in n_ebits, so this is
     the small-N oracle for `expected_fidelity_dp`, not an evaluator.
     """
-    _validate_run_args(n_ebits, lam0)
-    lam_seq = _lambda_sequence(lam0, _max_rounds(n_ebits))
+    lam_seq, fid_seq = _run_sequences(n_ebits, lam0)
     paths: list[tuple[float, float]] = []
-
-    def fallback(stored: int | None) -> float:
-        return single_shot_fidelity(lam_seq[stored]) if stored is not None else 0.5
-
-    def walk(count: int, rnd: int, stored: int | None, prob: float) -> None:
+    pending = [(n_ebits, 0, -1, 1.0)]
+    while pending:
+        count, rnd, stored, prob = pending.pop()
         if count % 2 == 1:
             stored = rnd
             count -= 1
+        fallback = fid_seq[stored] if stored >= 0 else 0.5
         if count == 0:
-            paths.append((prob, fallback(stored)))
-            return
-        pairs = count // 2
-        for j in range(pairs + 1):
-            p_branch = prob * outcome_probability(pairs, j, lam_seq[rnd])
-            if j == 0:
-                paths.append((p_branch, fallback(stored)))
-            elif j == 1:
-                paths.append((p_branch, single_shot_fidelity(lam_seq[rnd + 1])))
-            else:
-                walk(j, rnd + 1, stored, p_branch)
-
-    walk(n_ebits, 0, None, 1.0)
+            paths.append((prob, fallback))
+            continue
+        weights = outcome_probabilities(count // 2, lam_seq[rnd])
+        paths.append((prob * weights[0], fallback))
+        paths.append((prob * weights[1], fid_seq[rnd + 1]))
+        for j in range(2, len(weights)):
+            pending.append((j, rnd + 1, stored, prob * weights[j]))
     return paths
 
 
@@ -193,12 +187,12 @@ def _walk_state(count: int, rnd: int, stored: int, lam_seq: list[float],
                 fid_seq: list[float], memo: dict) -> tuple[float, int]:
     """Expected terminal fidelity and number of outcome paths from one walk state.
 
-    The state and its branches are those of `enumerate_paths`, with -1 for
-    "no pair stored". Each value is written as its fallback plus the
-    weighted gains over it, fb + sum_j w_j (v_j - fb): where every branch
-    ends at the fallback fidelity (lam0 = 1/2 with a stored pair, a fixed
-    point of the purification map) the sum is exactly zero and the value
-    is the fallback itself, not a rounding of it.
+    The state and its branches are those of `enumerate_paths`, with the
+    branch weights read from one binomial row. Each value is written as its
+    fallback plus the weighted gains over it, fb + sum_j w_j (v_j - fb):
+    where every branch ends at the fallback fidelity (lam0 = 1/2 with a
+    stored pair, a fixed point of the purification map) the sum is exactly
+    zero and the value is the fallback itself, not a rounding of it.
     """
     if count % 2 == 1:
         stored = rnd
@@ -209,16 +203,13 @@ def _walk_state(count: int, rnd: int, stored: int, lam_seq: list[float],
     key = (count, rnd, stored)
     if key in memo:
         return memo[key]
-    pairs = count // 2
-    gains = []
+    weights = outcome_probabilities(count // 2, lam_seq[rnd])
+    gains = [weights[1] * (fid_seq[rnd + 1] - fallback)]
     paths = 2  # the j = 0 and j = 1 branches end the run
-    for j in range(1, pairs + 1):
-        if j == 1:
-            value = fid_seq[rnd + 1]
-        else:
-            value, sub_paths = _walk_state(j, rnd + 1, stored, lam_seq, fid_seq, memo)
-            paths += sub_paths
-        gains.append(outcome_probability(pairs, j, lam_seq[rnd]) * (value - fallback))
+    for j in range(2, len(weights)):
+        value, sub_paths = _walk_state(j, rnd + 1, stored, lam_seq, fid_seq, memo)
+        paths += sub_paths
+        gains.append(weights[j] * (value - fallback))
     memo[key] = result = (fallback + math.fsum(gains), paths)
     return result
 
@@ -230,9 +221,7 @@ def expected_fidelity_dp(n_ebits: int, lam0: float) -> EntPurResult:
     `path_count` is the number of outcome paths that walk would list,
     counted by the same programme.
     """
-    _validate_run_args(n_ebits, lam0)
-    lam_seq = _lambda_sequence(lam0, _max_rounds(n_ebits))
-    fid_seq = [single_shot_fidelity(lam) for lam in lam_seq]
+    lam_seq, fid_seq = _run_sequences(n_ebits, lam0)
     expected, paths = _walk_state(n_ebits, 0, -1, lam_seq, fid_seq, {})
     return EntPurResult(expected_fidelity=expected, path_count=paths)
 
@@ -245,13 +234,12 @@ def mc_simulate(n_ebits: int, lam0: float, samples: int, seed: int) -> EntPurRes
     expectation alongside the sample mean, its standard error, and the
     seed; results are deterministic for a fixed (seed, samples).
     """
-    _validate_run_args(n_ebits, lam0)
+    lam_seq, fid_seq = _run_sequences(n_ebits, lam0)
     if samples < 1:
         raise ValueError("samples must be at least 1")
     exact = expected_fidelity_dp(n_ebits, lam0)
     rng = np.random.default_rng(seed)
-    lam_seq = np.array(_lambda_sequence(lam0, _max_rounds(n_ebits)))
-    fid_by_round = (2.0 * lam_seq + 1.0) / 3.0
+    fid_by_round = np.array(fid_seq)
 
     count = np.full(samples, n_ebits, dtype=np.int64)
     stored = np.full(samples, -1, dtype=np.int64)
@@ -273,7 +261,7 @@ def mc_simulate(n_ebits: int, lam0: float, samples: int, seed: int) -> EntPurRes
             break
 
         idx = np.flatnonzero(active)
-        j = rng.binomial(count[idx] // 2, pass_probability(float(lam_seq[rnd])))
+        j = rng.binomial(count[idx] // 2, pass_probability(lam_seq[rnd]))
 
         done_one = idx[j == 1]
         result[done_one] = fid_by_round[rnd + 1]

@@ -153,7 +153,8 @@ def average_fidelity(n: int, lam0: float) -> QubitPurResult:
     dist = outcome_distribution(n, lam0)
     fidelities = _block_sums(n, lam0)[1]
     per_m = {m: fidelities[m] for m in dist.probs}
-    expected = math.fsum(dist.probs[m] * per_m[m] for m in dist.probs)
+    # The block probabilities can sum one ulp over 1; a fidelity cannot.
+    expected = min(math.fsum(dist.probs[m] * per_m[m] for m in dist.probs), 1.0)
     return QubitPurResult(expected_fidelity=expected, distribution=dist, per_m_fidelity=per_m)
 
 

@@ -91,6 +91,21 @@ class TestStrategy:
         assert captured.err.startswith("error: ")
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("message,expected", [
+        ("Unable to allocate 7.28 TiB for an array", "error: Unable to allocate 7.28 TiB for an array"),
+        ("", "error: out of memory"),
+    ])
+    def test_memory_failure_is_an_input_error(self, monkeypatch, capsys, message, expected):
+        def exhausting(n_ebits, lam0, samples, seed):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(entpur, "mc_simulate", exhausting)
+        assert main(["strategy", "ent", "--n", "9", "--lambda0", "0.8",
+                     "--mc-samples", "1000000000000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.strip() == expected
+
 
 class TestSweep:
     def test_row_count_and_header(self, tmp_path):

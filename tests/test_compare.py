@@ -101,6 +101,13 @@ class TestCrossingPoints:
             result = compare.crossing_points(n)
             assert 0.6 <= result.lambda_2 <= 0.65
 
+    def test_collective_crossing_approaches_five_eighths(self):
+        # lambda_2 tends to 5/8 from above; the gap about halves each time N
+        # doubles (0.0117, 0.0059, 0.0029 at N = 33, 65, 129).
+        gaps = [compare.crossing_points(n).lambda_2 - 0.625 for n in (33, 65, 129)]
+        assert gaps[0] > gaps[1] > gaps[2] > 0.0
+        assert all(0.4 < b / a < 0.6 for a, b in zip(gaps, gaps[1:]))
+
     def test_tolerance_validation(self):
         with pytest.raises(ValueError):
             compare.crossing_points(3, tol=1e-13)

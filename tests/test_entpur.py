@@ -47,31 +47,39 @@ class TestStepClosedForms:
 
 class TestOutcomeProbability:
     def test_certain_success(self):
-        assert entpur.outcome_probability(1, 1, 1.0) == pytest.approx(1.0)
-        assert entpur.outcome_probability(1, 0, 1.0) == pytest.approx(0.0)
+        assert entpur.outcome_probabilities(1, 1.0) == [0.0, 1.0]
+        assert entpur.outcome_probabilities(4, 1.0) == [0.0, 0.0, 0.0, 0.0, 1.0]
 
     def test_fair_binomial_at_critical_point(self):
         # pass probability is exactly 1/2 at lam = 1/4
-        probs = [entpur.outcome_probability(2, j, 0.25) for j in range(3)]
+        probs = entpur.outcome_probabilities(2, 0.25)
         assert probs == pytest.approx([0.25, 0.5, 0.25], abs=1e-15)
 
     def test_generic_binomial_term(self):
         p = entpur.pass_probability(0.8)
         expected = 4 * p**3 * (1 - p)
-        assert entpur.outcome_probability(4, 3, 0.8) == pytest.approx(expected, abs=1e-15)
+        assert entpur.outcome_probabilities(4, 0.8)[3] == pytest.approx(expected, abs=1e-15)
+
+    def test_row_equals_per_term_log_space_expression(self):
+        # Each entry is exp(log C(pairs, j) + j log p + (pairs - j) log(1 - p)),
+        # bit for bit, with the coefficient carried along the row.
+        for lam in (0.25, 0.5, 0.8, 0.999):
+            p = entpur.pass_probability(lam)
+            for pairs in range(1, 61):
+                expected = [math.exp(math.log(math.comb(pairs, j)) + j * math.log(p)
+                                     + (pairs - j) * math.log(1.0 - p))
+                            for j in range(pairs + 1)]
+                assert entpur.outcome_probabilities(pairs, lam) == expected, (pairs, lam)
 
     def test_large_supply_is_finite_and_normalized(self):
-        probs = [entpur.outcome_probability(3000, j, 0.8) for j in range(3001)]
+        probs = entpur.outcome_probabilities(3000, 0.8)
+        assert len(probs) == 3001
         assert all(math.isfinite(p) and p >= 0.0 for p in probs)
         assert abs(math.fsum(probs) - 1.0) < 1e-12
 
     def test_rejects_bad_counts(self):
         with pytest.raises(ValueError):
-            entpur.outcome_probability(2, 3, 0.5)
-        with pytest.raises(ValueError):
-            entpur.outcome_probability(2, -1, 0.5)
-        with pytest.raises(ValueError):
-            entpur.outcome_probability(0, 0, 0.5)
+            entpur.outcome_probabilities(0, 0.5)
 
 
 class TestStepOracle:
@@ -139,6 +147,8 @@ class TestRunExpectation:
         gc.disable()
         try:
             entpur.expected_fidelity_dp(193, 0.8)
+            assert gc.collect() == 0
+            entpur.enumerate_paths(12, 0.8)
             assert gc.collect() == 0
         finally:
             gc.enable()

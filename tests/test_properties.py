@@ -1,13 +1,18 @@
-"""Property tests of the exact strategy evaluators over random (N, lambda0).
+"""Property tests of the exact strategy evaluators over random (N, lambda0),
+and of the command line over random argument lists.
 
 Examples are derandomized and not stored, so a run is reproducible from the
 code alone.
 """
 
+import contextlib
+import io
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qtransfer import compare, entpur, qubitpur
+from qtransfer.cli import main
 
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -18,11 +23,8 @@ strategy_lambdas = st.floats(min_value=0.25, max_value=1.0)
 @PROPERTY_SETTINGS
 @given(n=supplies, lam0=strategy_lambdas)
 def test_fidelities_lie_between_a_coin_flip_and_one(n, lam0):
-    # The slack is the result types' own: qubit_pur reads 1.0000000000000002
-    # at N=3, lambda0 = 1 - 1e-16, where its block probabilities sum one ulp over 1.
-    for value in (entpur.expected_fidelity_dp(n, lam0).expected_fidelity,
-                  qubitpur.average_fidelity(n, lam0).expected_fidelity):
-        assert 0.5 - 1e-12 <= value <= 1.0 + 1e-12
+    assert 0.5 - 1e-12 <= entpur.expected_fidelity_dp(n, lam0).expected_fidelity <= 1.0 + 1e-12
+    assert 0.5 - 1e-12 <= qubitpur.average_fidelity(n, lam0).expected_fidelity <= 1.0
 
 
 @PROPERTY_SETTINGS
@@ -45,3 +47,57 @@ def test_odd_supply_beats_the_next_even_one(k, lam0):
     # The discard-to-odd rule: an odd run can always fall back on a stored pair.
     assert (entpur.expected_fidelity_dp(2 * k + 1, lam0).expected_fidelity
             > entpur.expected_fidelity_dp(2 * k + 2, lam0).expected_fidelity)
+
+
+# Sizes stay small so that every command line runs in milliseconds.
+cli_supplies = st.integers(min_value=-2, max_value=40)
+lambda_tokens = st.one_of(
+    st.sampled_from(["nan", "inf", "-inf", "-0.5", "0", "0.25", "0.5", "1", "1.5"]),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.floats(min_value=0.25, max_value=1.0).map(repr),
+)
+junk_tokens = st.sampled_from(["--bogus", "nan", "", "-1", "--n", "--lambda0",
+                               "--precision", "--format", "--help"])
+
+
+@st.composite
+def command_lines(draw):
+    command = draw(st.sampled_from(["single", "strategy", "sweep", "crossings"]))
+    argv = [command]
+    if command == "single":
+        argv += ["--lambda0", draw(lambda_tokens)]
+    elif command == "strategy":
+        argv += [draw(st.sampled_from(["ent", "qubit", "est"])), "--n", str(draw(cli_supplies))]
+        if draw(st.booleans()):
+            argv += ["--lambda0", draw(lambda_tokens)]
+        if draw(st.booleans()):
+            argv += ["--mc-samples", str(draw(st.integers(min_value=-2, max_value=2000)))]
+        if draw(st.booleans()):
+            argv.append("--distribution")
+    elif command == "sweep":
+        sizes = draw(st.lists(cli_supplies, max_size=3))
+        argv += ["--n", ",".join(map(str, sizes)),
+                 "--grid", str(draw(st.integers(min_value=-1, max_value=8)))]
+        if draw(st.booleans()):
+            argv += ["--methods", draw(st.sampled_from(
+                ["all", "ent_pur", "qubit_pur,estimation", "bogus", " ", "ent_pur,,"]))]
+    else:
+        argv += ["--n-max", str(draw(st.integers(min_value=-2, max_value=5)))]
+    if draw(st.booleans()):
+        argv += ["--precision", str(draw(st.integers(min_value=-5, max_value=25)))]
+    if draw(st.booleans()):
+        argv += ["--format", draw(st.sampled_from(["csv", "json"]))]
+    if draw(st.booleans()):
+        argv += ["--seed", str(draw(st.integers(min_value=-3, max_value=2**32)))]
+    for token in draw(st.lists(junk_tokens, max_size=2)):
+        argv.insert(draw(st.integers(min_value=0, max_value=len(argv))), token)
+    return argv
+
+
+@PROPERTY_SETTINGS
+@given(argv=command_lines())
+def test_cli_returns_a_documented_exit_code(argv):
+    # `validate` is left out: one run takes about a second.
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 1, 2, 3, 4), argv

@@ -155,6 +155,10 @@ class TestAverageFidelity:
         assert result.distribution.probs[4096] == 1.0
         assert all(p == 0.0 for m, p in result.distribution.probs.items() if m != 4096)
 
+    def test_never_above_one(self):
+        # The block probabilities here sum one ulp over 1.
+        assert qubitpur.average_fidelity(3, 1 - 1e-16).expected_fidelity == 1.0
+
     def test_result_carries_consistent_parts(self):
         result = qubitpur.average_fidelity(5, 0.7)
         recomputed = math.fsum(result.distribution.probs[m] * result.per_m_fidelity[m]
