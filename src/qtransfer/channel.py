@@ -42,15 +42,22 @@ class MixtureCoefficients:
             raise ValueError("mixture coefficients must be nonnegative and sum to 1")
 
 
-def teleport_map(lam: float) -> MixtureCoefficients:
-    """Output mixture ((1+2*lam)/3, 2*(1-lam)/3) of one teleportation.
+def mixture_weights(lam: float | np.ndarray) -> tuple:
+    """Output mixture weights (c1, c0) = ((1+2*lam)/3, 2*(1-lam)/3) of one teleportation.
 
     The single source of the mixture for every module. Accepts the full
     mathematical range [0, 1], like the other closed forms; the strategies
     enforce the protocol range [LAMBDA_CRIT, 1] at their own entry points.
+    Works elementwise on an array of lam values.
     """
     require_lambda(lam)
-    return MixtureCoefficients(c1=(1.0 + 2.0 * lam) / 3.0, c0=2.0 * (1.0 - lam) / 3.0)
+    return (1.0 + 2.0 * lam) / 3.0, 2.0 * (1.0 - lam) / 3.0
+
+
+def teleport_map(lam: float) -> MixtureCoefficients:
+    """The mixture weights of `mixture_weights` for one lam, checked as a distribution."""
+    c1, c0 = mixture_weights(lam)
+    return MixtureCoefficients(c1=c1, c0=c0)
 
 
 def single_shot_fidelity(lam: float) -> float:

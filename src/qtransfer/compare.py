@@ -5,6 +5,12 @@ supply keeps a strictly weaker guarantee than the next odd one down, so
 one pair is dropped), grid sweeps of all strategies, and bisection for the
 channel quality at which each purification strategy breaks even with the
 classical estimation baseline.
+
+Tables evaluate each strategy once per N over a whole lambda0 grid, with
+`entpur.expected_fidelity_grid` and `qubitpur.average_fidelity_grid`:
+`sweep` for its rows, `crossing_points` for its 64-point prescan. The
+bisection after the prescan, and every single-point query, use the
+single-point evaluators, which are faster for one lambda0.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from . import entpur, estimate, qubitpur
 
 METHOD_NAMES = ("ent_pur", "estimation", "qubit_pur")
 
-_PRESCAN_POINTS = 64
+_PRESCAN_LAMBDAS = np.linspace(0.25, 1.0, 64)
 
 
 class AmbiguousCrossingError(RuntimeError):
@@ -77,12 +83,12 @@ def effective_entpur_fidelity(n: int, lam0: float) -> float:
     return entpur.expected_fidelity_dp(effective_n, lam0).expected_fidelity
 
 
-def _evaluate(method: str, n: int, lam0: float) -> float:
+def _evaluate_grid(method: str, n: int, lambdas: list[float]) -> list[float]:
     if method == "ent_pur":
-        return entpur.expected_fidelity_dp(n, lam0).expected_fidelity
+        return entpur.expected_fidelity_grid(n, lambdas).tolist()
     if method == "qubit_pur":
-        return qubitpur.average_fidelity(n, lam0).expected_fidelity
-    return estimate.estimation_fidelity(n).fidelity
+        return qubitpur.average_fidelity_grid(n, lambdas).tolist()
+    return [estimate.estimation_fidelity(n).fidelity] * len(lambdas)
 
 
 def sweep(methods, n_values, lambda_grid) -> list[SweepRow]:
@@ -110,14 +116,19 @@ def sweep(methods, n_values, lambda_grid) -> list[SweepRow]:
         raise ValueError("at least one lambda0 value is required")
     if lambdas[0] <= 0.25 or lambdas[-1] >= 1.0:
         raise ValueError("lambda0 grid values must lie strictly inside (1/4, 1)")
-    return [SweepRow(method=m, n=n, lambda0=lam, fidelity=_evaluate(m, n, lam))
-            for m in methods for n in n_values for lam in lambdas]
+    return [SweepRow(method=m, n=n, lambda0=lam, fidelity=fidelity)
+            for m in methods for n in n_values
+            for lam, fidelity in zip(lambdas, _evaluate_grid(m, n, lambdas))]
 
 
-def _find_crossing(gap, n: int, method: str, tol: float) -> float | None:
-    """Unique root of `gap` on [1/4, 1] located by prescan plus bisection."""
-    xs = np.linspace(0.25, 1.0, _PRESCAN_POINTS)
-    gs = [gap(float(x)) for x in xs]
+def _find_crossing(gap, prescan_gaps: np.ndarray, n: int, method: str, tol: float) -> float | None:
+    """Unique root of `gap` on [1/4, 1] located by prescan plus bisection.
+
+    `prescan_gaps` holds the values of `gap` on `_PRESCAN_LAMBDAS`, from one
+    grid evaluation; the bisection evaluates `gap` one point at a time.
+    """
+    xs = _PRESCAN_LAMBDAS
+    gs = prescan_gaps.tolist()
     brackets = []
     for i in range(len(xs) - 1):
         if gs[i] == 0.0:
@@ -160,10 +171,14 @@ def crossing_points(n: int, tol: float = 1e-10) -> CrossingResult:
     if tol < 1e-12:
         raise ValueError("tolerance must be at least 1e-12")
     baseline = estimate.estimation_fidelity(n).fidelity
+    odd_n = n if n % 2 == 1 else n - 1
     lambda_1 = _find_crossing(lambda lam: effective_entpur_fidelity(n, lam) - baseline,
+                              entpur.expected_fidelity_grid(odd_n, _PRESCAN_LAMBDAS) - baseline,
                               n, "ent_pur", tol)
     lambda_2 = _find_crossing(lambda lam: qubitpur.average_fidelity(n, lam).expected_fidelity
-                              - baseline, n, "qubit_pur", tol)
+                              - baseline,
+                              qubitpur.average_fidelity_grid(n, _PRESCAN_LAMBDAS) - baseline,
+                              n, "qubit_pur", tol)
     return CrossingResult(n=n, lambda_1=lambda_1, lambda_2=lambda_2, tolerance=tol)
 
 

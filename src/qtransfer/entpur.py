@@ -64,16 +64,13 @@ def purified_bell_diagonal(lam: float) -> tuple[BellDiagonal, float]:
     return bd, p_pass
 
 
-def outcome_probabilities(pairs: int, lam: float) -> list[float]:
-    """Binomial chances that j = 0..pairs of `pairs` simultaneous purification attempts survive.
+def _binomial_row(pairs: int, p: float) -> list[float]:
+    """Chances that j = 0..pairs of `pairs` attempts pass, each passing with probability p.
 
     Evaluated in log space, so no intermediate factor overflows or
     underflows a float however many pairs there are: each coefficient is an
     exact integer, carried along the row, and only its logarithm is rounded.
     """
-    if pairs < 1:
-        raise ValueError("pairs must be at least 1")
-    p = pass_probability(lam)
     if p == 1.0:
         return [0.0] * pairs + [1.0]
     log_p, log_q = math.log(p), math.log(1.0 - p)
@@ -83,6 +80,25 @@ def outcome_probabilities(pairs: int, lam: float) -> list[float]:
         row.append(math.exp(math.log(coeff) + j * log_p + (pairs - j) * log_q))
         coeff = coeff * (pairs - j) // (j + 1)
     return row
+
+
+def _binomial_rows(pairs: int, p: np.ndarray) -> np.ndarray:
+    """`_binomial_row` for every pass probability in p at once, one column each."""
+    sure = p == 1.0
+    j = np.arange(pairs + 1.0)[:, None]
+    log_c = np.array([math.log(math.comb(pairs, k)) for k in range(pairs + 1)])[:, None]
+    log_p, log_q = np.log(p), np.log(np.where(sure, 1.0, 1.0 - p))
+    rows = np.exp(log_c + j * log_p + (pairs - j) * log_q)
+    rows[:, sure] = 0.0
+    rows[-1, sure] = 1.0
+    return rows
+
+
+def outcome_probabilities(pairs: int, lam: float) -> list[float]:
+    """Binomial chances that j = 0..pairs of `pairs` simultaneous purification attempts survive."""
+    if pairs < 1:
+        raise ValueError("pairs must be at least 1")
+    return _binomial_row(pairs, pass_probability(lam))
 
 
 def step_oracle(lam: float) -> tuple[BellDiagonal, float]:
@@ -135,11 +151,13 @@ class EntPurResult:
             raise ValueError("standard error must be nonnegative")
 
 
-def _run_sequences(n_ebits: int, lam0: float) -> tuple[list[float], list[float]]:
-    """Check a run's arguments; return lambda and the teleportation fidelity by round.
+def _run_sequences(n_ebits: int, lam0) -> tuple[list, list]:
+    """Check a run's arguments; return the pass probability and the teleportation fidelity by round.
 
-    Entry r is the value after r kept purification rounds, for every round
-    the run can reach.
+    Entry r belongs to the pair after r kept purification rounds: its
+    teleportation fidelity for every round the run can reach, its pass
+    probability for every round that can still purify. lam0 may be an
+    array, and then so is every entry.
     """
     if n_ebits < 1:
         raise ValueError("the run needs at least one pair")
@@ -147,7 +165,8 @@ def _run_sequences(n_ebits: int, lam0: float) -> tuple[list[float], list[float]]
     lam_seq = [lam0]
     for _ in range(max(1, math.ceil(math.log2(max(n_ebits, 2)))) + 1):
         lam_seq.append(purify_lambda(lam_seq[-1]))
-    return lam_seq, [single_shot_fidelity(lam) for lam in lam_seq]
+    return ([pass_probability(lam) for lam in lam_seq[:-1]],
+            [single_shot_fidelity(lam) for lam in lam_seq])
 
 
 def enumerate_paths(n_ebits: int, lam0: float) -> list[tuple[float, float]]:
@@ -163,7 +182,7 @@ def enumerate_paths(n_ebits: int, lam0: float) -> list[tuple[float, float]]:
     The number of paths grows super-polynomially in n_ebits, so this is
     the small-N oracle for `expected_fidelity_dp`, not an evaluator.
     """
-    lam_seq, fid_seq = _run_sequences(n_ebits, lam0)
+    p_seq, fid_seq = _run_sequences(n_ebits, lam0)
     paths: list[tuple[float, float]] = []
     pending = [(n_ebits, 0, -1, 1.0)]
     while pending:
@@ -175,7 +194,7 @@ def enumerate_paths(n_ebits: int, lam0: float) -> list[tuple[float, float]]:
         if count == 0:
             paths.append((prob, fallback))
             continue
-        weights = outcome_probabilities(count // 2, lam_seq[rnd])
+        weights = _binomial_row(count // 2, p_seq[rnd])
         paths.append((prob * weights[0], fallback))
         paths.append((prob * weights[1], fid_seq[rnd + 1]))
         for j in range(2, len(weights)):
@@ -183,8 +202,8 @@ def enumerate_paths(n_ebits: int, lam0: float) -> list[tuple[float, float]]:
     return paths
 
 
-def _walk_state(count: int, rnd: int, stored: int, lam_seq: list[float],
-                fid_seq: list[float], memo: dict) -> tuple[float, int]:
+def _walk_state(count: int, rnd: int, stored: int, p_seq: list, fid_seq: list, memo: dict,
+                row=_binomial_row, total=math.fsum) -> tuple:
     """Expected terminal fidelity and number of outcome paths from one walk state.
 
     The state and its branches are those of `enumerate_paths`, with the
@@ -193,6 +212,8 @@ def _walk_state(count: int, rnd: int, stored: int, lam_seq: list[float],
     where every branch ends at the fallback fidelity (lam0 = 1/2 with a
     stored pair, a fixed point of the purification map) the sum is exactly
     zero and the value is the fallback itself, not a rounding of it.
+    With `_binomial_rows` and a column sum for `row` and `total`, the
+    sequences hold arrays and every value is an array over lam0.
     """
     if count % 2 == 1:
         stored = rnd
@@ -203,14 +224,14 @@ def _walk_state(count: int, rnd: int, stored: int, lam_seq: list[float],
     key = (count, rnd, stored)
     if key in memo:
         return memo[key]
-    weights = outcome_probabilities(count // 2, lam_seq[rnd])
+    weights = row(count // 2, p_seq[rnd])
     gains = [weights[1] * (fid_seq[rnd + 1] - fallback)]
     paths = 2  # the j = 0 and j = 1 branches end the run
     for j in range(2, len(weights)):
-        value, sub_paths = _walk_state(j, rnd + 1, stored, lam_seq, fid_seq, memo)
+        value, sub_paths = _walk_state(j, rnd + 1, stored, p_seq, fid_seq, memo, row, total)
         paths += sub_paths
         gains.append(weights[j] * (value - fallback))
-    memo[key] = result = (fallback + math.fsum(gains), paths)
+    memo[key] = result = (fallback + total(gains), paths)
     return result
 
 
@@ -221,9 +242,24 @@ def expected_fidelity_dp(n_ebits: int, lam0: float) -> EntPurResult:
     `path_count` is the number of outcome paths that walk would list,
     counted by the same programme.
     """
-    lam_seq, fid_seq = _run_sequences(n_ebits, lam0)
-    expected, paths = _walk_state(n_ebits, 0, -1, lam_seq, fid_seq, {})
+    p_seq, fid_seq = _run_sequences(n_ebits, lam0)
+    expected, paths = _walk_state(n_ebits, 0, -1, p_seq, fid_seq, {})
     return EntPurResult(expected_fidelity=expected, path_count=paths)
+
+
+def expected_fidelity_grid(n_ebits: int, lam0s) -> np.ndarray:
+    """`expected_fidelity_dp(n_ebits, lam).expected_fidelity` for every lam in lam0s, in one pass.
+
+    The same programme with every quantity an array over lam0s, so a whole
+    grid costs about as much as a few single points. Agrees with the
+    single-point evaluator to within an ulp or two, because numpy's exp and
+    log may round differently from the math module's; the sums are
+    correctly rounded in both.
+    """
+    p_seq, fid_seq = _run_sequences(n_ebits, np.array(lam0s, dtype=float, ndmin=1))
+    expected, _ = _walk_state(n_ebits, 0, -1, p_seq, fid_seq, {}, _binomial_rows,
+                              qmath.fsum_columns)
+    return expected
 
 
 def mc_simulate(n_ebits: int, lam0: float, samples: int, seed: int) -> EntPurResult:
@@ -234,7 +270,7 @@ def mc_simulate(n_ebits: int, lam0: float, samples: int, seed: int) -> EntPurRes
     expectation alongside the sample mean, its standard error, and the
     seed; results are deterministic for a fixed (seed, samples).
     """
-    lam_seq, fid_seq = _run_sequences(n_ebits, lam0)
+    p_seq, fid_seq = _run_sequences(n_ebits, lam0)
     if samples < 1:
         raise ValueError("samples must be at least 1")
     exact = expected_fidelity_dp(n_ebits, lam0)
@@ -261,7 +297,7 @@ def mc_simulate(n_ebits: int, lam0: float, samples: int, seed: int) -> EntPurRes
             break
 
         idx = np.flatnonzero(active)
-        j = rng.binomial(count[idx] // 2, pass_probability(lam_seq[rnd]))
+        j = rng.binomial(count[idx] // 2, p_seq[rnd])
 
         done_one = idx[j == 1]
         result[done_one] = fid_by_round[rnd + 1]

@@ -14,9 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-HERMITIAN_TOL = 1e-12
-TRACE_TOL = 1e-12
-EIGENVALUE_FLOOR = -1e-9
 MAX_DIM = 256
 
 ID2 = np.eye(2, dtype=complex)
@@ -86,18 +83,30 @@ class BellDiagonal:
         return (self.w_phi_plus, self.w_psi_plus, self.w_phi_minus, self.w_psi_minus)
 
 
-def require_lambda(lam: float, low: float = 0.0) -> None:
+def require_lambda(lam: float | np.ndarray, low: float = 0.0) -> None:
     """Reject a Werner parameter outside [low, 1], NaN included.
 
     The convention throughout the package: every closed form and oracle
     accepts the full mathematical range [0, 1], and the transfer strategies
     (`entpur` runs and `qubitpur.average_fidelity`) require
     [1/4, 1] (`channel.LAMBDA_CRIT`), below which a teleported copy is worse
-    than a coin flip. The message is formatted only when the check fails,
-    because the path enumeration calls this once per outcome path.
+    than a coin flip. An array is checked elementwise and its first value
+    outside the range is reported, so the closed forms built on this check
+    also take arrays. The message is formatted only when the check fails.
     """
-    if not low <= lam <= 1.0:
+    # Testing for a float first keeps the scalar call, made once per round
+    # by the single-point evaluators, nearly as cheap as the bare comparison.
+    if type(lam) is not float and isinstance(lam, np.ndarray):
+        outside = lam[~((lam >= low) & (lam <= 1.0))]
+        if outside.size:
+            require_lambda(float(outside.flat[0]), low)
+    elif not low <= lam <= 1.0:
         raise ValueError(f"lambda must lie in [{low:g}, 1], got {lam}")
+
+
+def fsum_columns(rows) -> np.ndarray:
+    """Correctly rounded sum down each column of a stack of equal-length rows, as `math.fsum`."""
+    return np.array([math.fsum(column) for column in np.array(rows).T.tolist()])
 
 
 def _qubit_count(dim: int) -> int:
@@ -250,17 +259,3 @@ def fidelity_pure(psi: np.ndarray, rho: np.ndarray) -> float:
         raise ValueError("state vector must be normalized")
     value = float(np.real(np.vdot(psi, rho @ psi)))
     return min(max(value, 0.0), 1.0)
-
-
-def check_density(rho: np.ndarray, label: str = "density operator") -> np.ndarray:
-    """Validate Hermiticity, unit trace, and positivity; return rho unchanged."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise ValueError(f"{label} must be a square matrix")
-    if np.max(np.abs(rho - rho.conj().T)) > HERMITIAN_TOL:
-        raise ValueError(f"{label} is not Hermitian within {HERMITIAN_TOL}")
-    if abs(np.trace(rho).real - 1.0) > TRACE_TOL or abs(np.trace(rho).imag) > TRACE_TOL:
-        raise ValueError(f"{label} does not have unit trace")
-    if float(np.min(np.linalg.eigvalsh(rho))) < EIGENVALUE_FLOOR:
-        raise ValueError(f"{label} has an eigenvalue below {EIGENVALUE_FLOOR}")
-    return rho

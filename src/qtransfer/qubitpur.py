@@ -75,6 +75,48 @@ def _block_sums(m_max: int, lam0: float) -> tuple[list[tuple[float, int]], list[
     return sums, fidelities
 
 
+def _block_sums_grid(m_max: int, c1: np.ndarray, c0: np.ndarray) -> tuple[list, list]:
+    """`_block_sums` with arrays c1, c0: every value, fidelity and exponent is an array."""
+    power, s, t = np.ones_like(c1), np.ones_like(c1), np.zeros_like(c1)
+    shift = np.zeros(c1.shape, dtype=np.int64)
+    sums, fidelities = [(s, shift)], [np.full_like(c1, 0.5)]
+    for m in range(1, m_max + 1):
+        t = s + c1 * t
+        power = power * c0
+        s = power + c1 * s
+        sums.append((s, -shift))
+        fidelities.append(c1 * t / (m * s))
+        small = s < 2.0 ** -_RESCALE_BITS
+        if small.any():
+            power, s, t = (np.where(small, np.ldexp(x, _RESCALE_BITS), x) for x in (power, s, t))
+            shift = shift + _RESCALE_BITS * small
+    return sums, fidelities
+
+
+def _block_probabilities(n: int, pair, sums: list, ldexp=math.ldexp, frexp=math.frexp) -> list:
+    """Probability multiplicity(n, m) (c0 c1)^k S_m of each block size m = n - 2k, k = 0, 1, ...
+
+    `pair` is c0 c1 and `sums` the S_m of `_block_sums`. The multiplicities
+    are exact integers from one binomial recurrence, and each factor is
+    carried as a float and a binary exponent, so nothing overflows or
+    underflows before the product is formed, at any n. With numpy's ldexp
+    and frexp, `pair` and `sums` may hold arrays, and so does the result.
+    """
+    power, power_exp = 1.0, 0  # (c0 c1)^k = ldexp(power, power_exp)
+    binom_below, binom = 0, 1  # C(n, k - 1) and C(n, k)
+    weights = []
+    for k in range(n // 2 + 1):
+        mult = binom - binom_below  # multiplicity(n, n - 2k)
+        mult_exp = max(mult.bit_length() - 64, 0)
+        s_value, s_exp = sums[n - 2 * k]
+        weights.append(ldexp(float(mult >> mult_exp) * power * s_value,
+                             mult_exp + power_exp + s_exp))
+        power, exp = frexp(power * pair)
+        power_exp += exp
+        binom_below, binom = binom, binom * (n - k) // (k + 1)
+    return weights
+
+
 @dataclass(frozen=True)
 class OutcomeDistribution:
     """Distribution of the surviving-block size m after the collective projection."""
@@ -94,31 +136,19 @@ class OutcomeDistribution:
             raise ValueError("probabilities must sum to 1")
 
 
-def outcome_distribution(n: int, lam0: float) -> OutcomeDistribution:
+def outcome_distribution(n: int, lam0: float, *, sums: list | None = None) -> OutcomeDistribution:
     """Probability multiplicity(n, m) (c0 c1)^k S_m of each surviving-block size m.
 
-    k = (n - m)/2 copies leave as singlets. The multiplicities are exact
-    integers from one binomial recurrence, and each factor is carried as a
-    float and a binary exponent, so nothing overflows or underflows before
-    the product is formed, at any n.
+    k = (n - m)/2 copies leave as singlets; see `_block_probabilities`. A
+    caller that already holds the S_m of `_block_sums(n, ...)` for this
+    lam0 passes them as `sums`, so they are not computed twice.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     coeffs = channel.teleport_map(lam0)
-    sums, _ = _block_sums(n, lam0)
-    pair = coeffs.c0 * coeffs.c1
-    power, power_exp = 1.0, 0  # (c0 c1)^k = ldexp(power, power_exp)
-    binom_below, binom = 0, 1  # C(n, k - 1) and C(n, k)
-    weights = []
-    for k in range(n // 2 + 1):
-        mult = binom - binom_below  # multiplicity(n, n - 2k)
-        mult_exp = max(mult.bit_length() - 64, 0)
-        s_value, s_exp = sums[n - 2 * k]
-        weights.append(math.ldexp(float(mult >> mult_exp) * power * s_value,
-                                  mult_exp + power_exp + s_exp))
-        power, exp = math.frexp(power * pair)
-        power_exp += exp
-        binom_below, binom = binom, binom * (n - k) // (k + 1)
+    if sums is None:
+        sums = _block_sums(n, lam0)[0]
+    weights = _block_probabilities(n, coeffs.c0 * coeffs.c1, sums)
     probs = {n - 2 * k: weights[k] for k in reversed(range(n // 2 + 1))}
     return OutcomeDistribution(n=n, lambda0=lam0, probs=probs)
 
@@ -150,12 +180,33 @@ def average_fidelity(n: int, lam0: float) -> QubitPurResult:
     if n < 1:
         raise ValueError("n must be at least 1")
     require_lambda(lam0, channel.LAMBDA_CRIT)
-    dist = outcome_distribution(n, lam0)
-    fidelities = _block_sums(n, lam0)[1]
+    sums, fidelities = _block_sums(n, lam0)
+    dist = outcome_distribution(n, lam0, sums=sums)
     per_m = {m: fidelities[m] for m in dist.probs}
     # The block probabilities can sum one ulp over 1; a fidelity cannot.
     expected = min(math.fsum(dist.probs[m] * per_m[m] for m in dist.probs), 1.0)
     return QubitPurResult(expected_fidelity=expected, distribution=dist, per_m_fidelity=per_m)
+
+
+def average_fidelity_grid(n: int, lam0s) -> np.ndarray:
+    """`average_fidelity(n, lam).expected_fidelity` for every lam in lam0s, in one pass.
+
+    The same recurrences and sums with every quantity an array over lam0s,
+    so the results are equal to the single-point ones, bit for bit. Each
+    column's distribution must sum to 1 within 1e-12, as in
+    `OutcomeDistribution`.
+    """
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    lam0s = np.array(lam0s, dtype=float, ndmin=1)
+    require_lambda(lam0s, channel.LAMBDA_CRIT)
+    c1, c0 = channel.mixture_weights(lam0s)
+    sums, fidelities = _block_sums_grid(n, c1, c0)
+    probs = _block_probabilities(n, c0 * c1, sums, np.ldexp, np.frexp)
+    if not np.all(np.abs(qmath.fsum_columns(probs) - 1.0) <= 1e-12):
+        raise ValueError("probabilities must sum to 1")
+    terms = [p * fidelities[n - 2 * k] for k, p in enumerate(probs)]
+    return np.minimum(qmath.fsum_columns(terms), 1.0)
 
 
 def _embed_single(op: np.ndarray, index: int, n: int) -> np.ndarray:

@@ -81,7 +81,12 @@ class TestTeleportOracle:
                 assert abs(fid - channel.single_shot_fidelity(lam)) < 1e-12
 
     def test_output_is_a_density_operator(self):
-        qmath.check_density(channel.teleport_oracle(0.6, BlochAngles(0.9, 5.1)))
+        rho = channel.teleport_oracle(0.6, BlochAngles(0.9, 5.1))
+        assert rho.shape == (2, 2)
+        assert np.max(np.abs(rho - rho.conj().T)) <= 1e-12
+        assert abs(np.trace(rho).real - 1.0) <= 1e-12
+        assert abs(np.trace(rho).imag) <= 1e-12
+        assert float(np.min(np.linalg.eigvalsh(rho))) >= -1e-9
 
 
 class TestOutcomeStatistics:

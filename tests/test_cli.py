@@ -172,18 +172,18 @@ class TestCrossings:
         assert float(second[1]) == pytest.approx(float(second[2]), abs=1e-9)
 
     def test_ambiguity_exits_with_code_4(self, monkeypatch, capsys):
-        import math
+        import numpy as np
 
         from qtransfer import qubitpur
 
-        class FakeResult:
-            def __init__(self, value):
-                self.expected_fidelity = value
-
-        monkeypatch.setattr(qubitpur, "average_fidelity",
-                            lambda n, lam0: FakeResult(0.75 + 0.2 * math.sin(40.0 * lam0)))
-        assert main(["crossings", "--n-max", "3"]) == 4
-        assert "N=1" in capsys.readouterr().err
+        # The prescan evaluates each strategy once per N over its whole grid.
+        for module, grid_evaluator in ((qubitpur, "average_fidelity_grid"),
+                                       (entpur, "expected_fidelity_grid")):
+            with monkeypatch.context() as patch:
+                patch.setattr(module, grid_evaluator,
+                              lambda n, lam0s: 0.75 + 0.2 * np.sin(40.0 * np.asarray(lam0s)))
+                assert main(["crossings", "--n-max", "3"]) == 4
+                assert "N=1" in capsys.readouterr().err
 
     def test_missing_n_max_is_an_input_error(self, capsys):
         assert main(["crossings"]) == 2

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -108,6 +106,21 @@ class TestCrossingPoints:
         assert gaps[0] > gaps[1] > gaps[2] > 0.0
         assert all(0.4 < b / a < 0.6 for a, b in zip(gaps, gaps[1:]))
 
+    def test_prescan_signs_match_single_point_evaluators(self):
+        lambdas = np.linspace(0.25, 1.0, 64)
+        for n in range(1, 41):
+            baseline = (n + 1) / (n + 2)
+            odd_n = n if n % 2 == 1 else n - 1
+            grids = {"ent_pur": entpur.expected_fidelity_grid(odd_n, lambdas),
+                     "qubit_pur": qubitpur.average_fidelity_grid(n, lambdas)}
+            scalars = {
+                "ent_pur": [compare.effective_entpur_fidelity(n, float(lam)) for lam in lambdas],
+                "qubit_pur": [qubitpur.average_fidelity(n, float(lam)).expected_fidelity
+                              for lam in lambdas]}
+            for method, values in grids.items():
+                assert list(np.sign(values - baseline)) == list(
+                    np.sign(np.array(scalars[method]) - baseline)), (n, method)
+
     def test_tolerance_validation(self):
         with pytest.raises(ValueError):
             compare.crossing_points(3, tol=1e-13)
@@ -121,18 +134,18 @@ class TestCrossingPoints:
             CrossingResult(n=5, lambda_1=1.2, lambda_2=None, tolerance=1e-10)
 
     def test_multiple_sign_changes_are_reported(self, monkeypatch):
-        class FakeResult:
-            def __init__(self, value):
-                self.expected_fidelity = value
+        def oscillating(n, lam0s):
+            return 0.75 + 0.2 * np.sin(40.0 * np.asarray(lam0s))
 
-        def oscillating(n, lam0):
-            return FakeResult(0.75 + 0.2 * math.sin(40.0 * lam0))
-
-        monkeypatch.setattr(qubitpur, "average_fidelity", oscillating)
-        with pytest.raises(AmbiguousCrossingError) as err:
-            compare.crossing_points(3)
-        assert err.value.n == 3
-        assert err.value.method == "qubit_pur"
+        # The prescan evaluates each strategy once per N over its whole grid.
+        for method, module, grid_evaluator in (("qubit_pur", qubitpur, "average_fidelity_grid"),
+                                               ("ent_pur", entpur, "expected_fidelity_grid")):
+            with monkeypatch.context() as patch:
+                patch.setattr(module, grid_evaluator, oscillating)
+                with pytest.raises(AmbiguousCrossingError) as err:
+                    compare.crossing_points(3)
+            assert err.value.n == 3
+            assert err.value.method == method
 
 
 class TestRecommend:

@@ -184,6 +184,45 @@ class TestRunExpectation:
             EntPurResult(expected_fidelity=0.3, path_count=1)
 
 
+# The crossing prescan's points and the grid of `sweep --grid 40`.
+PRESCAN_GRID = np.linspace(0.25, 1.0, 64)
+SWEEP_GRID = np.linspace(0.25, 1.0, 42)[1:-1]
+
+
+class TestExpectedFidelityGrid:
+    @pytest.mark.parametrize("grid", [PRESCAN_GRID, SWEEP_GRID], ids=["prescan", "sweep"])
+    def test_agrees_with_single_point_evaluator(self, grid):
+        # numpy's exp and log may round differently from the math module's.
+        for n in range(1, 61):
+            values = entpur.expected_fidelity_grid(n, grid)
+            for lam, value in zip(grid, values):
+                expected = entpur.expected_fidelity_dp(n, float(lam)).expected_fidelity
+                assert abs(value - expected) <= 4.4e-16, (n, lam)
+
+    def test_exact_at_anchor_points(self):
+        # At 1/4 every branch ends at fidelity 1/2, at 1 the binomial row is
+        # exact, and at 1/2 an odd run always keeps a stored pair, which the
+        # anchoring holds on the fixed point 2/3. An even run at 1/2 can end
+        # with no pair, so its value rests on exp and log like any other.
+        for n in range(1, 61):
+            values = entpur.expected_fidelity_grid(n, [0.25, 0.5, 1.0]).tolist()
+            expected = [entpur.expected_fidelity_dp(n, lam).expected_fidelity
+                        for lam in (0.25, 0.5, 1.0)]
+            assert values[0] == expected[0] == 0.5, n
+            assert values[2] == expected[2] == 1.0, n
+            if n % 2 == 1:
+                assert values[1] == expected[1] == 2.0 / 3.0, n
+            else:
+                assert abs(values[1] - expected[1]) <= 4.4e-16, n
+
+    @pytest.mark.parametrize("bad", [math.nan, 0.2, 1.1])
+    def test_domain_errors(self, bad):
+        with pytest.raises(ValueError, match="lambda must lie in"):
+            entpur.expected_fidelity_grid(5, [0.5, bad])
+        with pytest.raises(ValueError):
+            entpur.expected_fidelity_grid(0, [0.5])
+
+
 class TestMonteCarlo:
     def test_perfect_channel_has_no_spread(self):
         result = entpur.mc_simulate(7, 1.0, 2000, seed=0)

@@ -55,6 +55,38 @@ def test_readme_example_output(command, capsys):
     assert capsys.readouterr().out == EXAMPLES[command]
 
 
+# Every break-even point up to N = 20, as printed when each prescan point
+# was evaluated on its own; a sign flip anywhere in a prescan moves a row.
+CROSSINGS_TO_20 = """\
+N,lambda1,lambda2
+1,0.5,0.5
+2,0.625,0.625
+3,0.678175860085,0.607870131953
+4,0.723954951346,0.643085023433
+5,0.740802100239,0.634049483841
+6,0.765321710413,0.648434598664
+7,0.77428674383,0.642880681769
+8,0.790537759529,0.649658151547
+9,0.794656602089,0.645890245613
+10,0.806292352621,0.64926236828
+11,0.808494400277,0.646529560243
+12,0.817431176126,0.648196060964
+13,0.818935166024,0.646118223268
+14,0.826172621433,0.646871866791
+15,0.827884465766,0.645236588261
+16,0.834009982867,0.645483202833
+17,0.835137593826,0.644162392288
+18,0.840365673149,0.644123420341
+19,0.840809149801,0.643035002718
+20,0.845307380892,0.642836735761
+"""
+
+
+def test_crossings_table_output(capsys):
+    assert main(["crossings", "--n-max", "20"]) == 0
+    assert capsys.readouterr().out == CROSSINGS_TO_20
+
+
 def test_validate_check_layout(capsys):
     assert main(["validate", "--seed", "7", "--mc-samples", "20000"]) == 0
     checks = json.loads(capsys.readouterr().out)["checks"]

@@ -172,6 +172,32 @@ class TestAverageFidelity:
             qubitpur.average_fidelity(3, 0.2)
 
 
+# The crossing prescan's points and the grid of `sweep --grid 40`.
+PRESCAN_GRID = np.linspace(0.25, 1.0, 64)
+SWEEP_GRID = np.linspace(0.25, 1.0, 42)[1:-1]
+
+
+class TestAverageFidelityGrid:
+    @pytest.mark.parametrize("grid", [PRESCAN_GRID, SWEEP_GRID], ids=["prescan", "sweep"])
+    def test_equals_single_point_evaluator(self, grid):
+        for n in range(1, 61):
+            values = qubitpur.average_fidelity_grid(n, grid).tolist()
+            expected = [qubitpur.average_fidelity(n, float(lam)).expected_fidelity for lam in grid]
+            assert values == expected, n
+
+    def test_endpoints_and_clamp(self):
+        for n in (1, 2, 3, 64, 4096):
+            assert qubitpur.average_fidelity_grid(n, [0.25, 1.0]).tolist() == [0.5, 1.0]
+        assert qubitpur.average_fidelity_grid(3, [1 - 1e-16]).tolist() == [1.0]
+
+    @pytest.mark.parametrize("bad", [math.nan, 0.2, 1.1])
+    def test_domain_errors(self, bad):
+        with pytest.raises(ValueError, match="lambda must lie in"):
+            qubitpur.average_fidelity_grid(5, [0.5, bad])
+        with pytest.raises(ValueError):
+            qubitpur.average_fidelity_grid(0, [0.5])
+
+
 @functools.cache
 def _multiplicities(n):
     return {m: qubitpur.multiplicity(n, m) for m in range(n % 2, n + 1, 2)}
