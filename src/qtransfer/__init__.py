@@ -11,13 +11,7 @@ re-prepare it.
 from __future__ import annotations
 
 from . import channel, cli, compare, entpur, estimate, qmath, qubitpur, validation
-from .channel import (
-    LAMBDA_CRIT,
-    MixtureCoefficients,
-    single_shot_fidelity,
-    teleport_map,
-    teleport_oracle,
-)
+from .channel import LAMBDA_CRIT, single_shot_fidelity, teleport_oracle
 from .compare import (
     AmbiguousCrossingError,
     CrossingResult,

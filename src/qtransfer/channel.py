@@ -9,9 +9,6 @@ as an independent oracle for both.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import qmath
@@ -30,18 +27,6 @@ _CORRECTIONS = {
 }
 
 
-@dataclass(frozen=True)
-class MixtureCoefficients:
-    """Weights of the input state (c1) and its orthogonal complement (c0) in the output."""
-
-    c1: float
-    c0: float
-
-    def __post_init__(self):
-        if self.c1 < -1e-12 or self.c0 < -1e-12 or abs(self.c1 + self.c0 - 1.0) > 1e-12:
-            raise ValueError("mixture coefficients must be nonnegative and sum to 1")
-
-
 def mixture_weights(lam: float | np.ndarray) -> tuple:
     """Output mixture weights (c1, c0) = ((1+2*lam)/3, 2*(1-lam)/3) of one teleportation.
 
@@ -52,12 +37,6 @@ def mixture_weights(lam: float | np.ndarray) -> tuple:
     """
     require_lambda(lam)
     return (1.0 + 2.0 * lam) / 3.0, 2.0 * (1.0 - lam) / 3.0
-
-
-def teleport_map(lam: float) -> MixtureCoefficients:
-    """The mixture weights of `mixture_weights` for one lam, checked as a distribution."""
-    c1, c0 = mixture_weights(lam)
-    return MixtureCoefficients(c1=c1, c0=c0)
 
 
 def single_shot_fidelity(lam: float) -> float:
@@ -109,7 +88,7 @@ def teleport_outcome_probabilities(lam: float, angles: BlochAngles) -> dict[str,
 
 def output_state(lam: float, angles: BlochAngles) -> np.ndarray:
     """Closed-form receiver state c1|psi><psi| + c0|psi_bar><psi_bar|."""
-    coeffs = teleport_map(lam)
+    c1, c0 = mixture_weights(lam)
     psi = qmath.bloch_to_ket(angles)
     psi_bar = qmath.orthogonal_ket(angles)
-    return coeffs.c1 * np.outer(psi, psi.conj()) + coeffs.c0 * np.outer(psi_bar, psi_bar.conj())
+    return c1 * np.outer(psi, psi.conj()) + c0 * np.outer(psi_bar, psi_bar.conj())

@@ -155,6 +155,8 @@ def cmd_crossings(args: argparse.Namespace) -> int:
 
 def cmd_validate(args: argparse.Namespace) -> int:
     samples = args.mc_samples if args.mc_samples is not None else DEFAULT_MC_SAMPLES
+    if samples < 1:
+        raise ValueError("--mc-samples must be a positive integer")
     checks = run_validation_checks(seed=args.seed, mc_samples=samples)
     passed = all(c["passed"] for c in checks)
     summary = {"passed": passed, "seed": args.seed, "mc_samples": samples,

@@ -71,16 +71,20 @@ class CrossingResult:
                              "channel-purification crossing")
 
 
-def effective_entpur_fidelity(n: int, lam0: float) -> float:
-    """Purification-strategy fidelity with the discard-to-odd rule applied.
+def _odd_supply(n: int) -> int:
+    """Pairs the purification strategy runs on under the discard-to-odd rule.
 
     Odd n runs as is; even n runs on n-1 pairs, which is better on average
     because an odd run can never lose every pair.
     """
+    return n if n % 2 == 1 else n - 1
+
+
+def effective_entpur_fidelity(n: int, lam0: float) -> float:
+    """Purification-strategy fidelity with the discard-to-odd rule applied."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    effective_n = n if n % 2 == 1 else n - 1
-    return entpur.expected_fidelity_dp(effective_n, lam0).expected_fidelity
+    return entpur.expected_fidelity_dp(_odd_supply(n), lam0).expected_fidelity
 
 
 def _evaluate_grid(method: str, n: int, lambdas: list[float]) -> list[float]:
@@ -171,9 +175,9 @@ def crossing_points(n: int, tol: float = 1e-10) -> CrossingResult:
     if tol < 1e-12:
         raise ValueError("tolerance must be at least 1e-12")
     baseline = estimate.estimation_fidelity(n).fidelity
-    odd_n = n if n % 2 == 1 else n - 1
     lambda_1 = _find_crossing(lambda lam: effective_entpur_fidelity(n, lam) - baseline,
-                              entpur.expected_fidelity_grid(odd_n, _PRESCAN_LAMBDAS) - baseline,
+                              entpur.expected_fidelity_grid(_odd_supply(n), _PRESCAN_LAMBDAS)
+                              - baseline,
                               n, "ent_pur", tol)
     lambda_2 = _find_crossing(lambda lam: qubitpur.average_fidelity(n, lam).expected_fidelity
                               - baseline,

@@ -3,10 +3,10 @@
 A supply of N identical noisy pairs is repeatedly distilled: pairs are
 combined two at a time, a parity test keeps or discards each combination,
 and one pair is set aside whenever the count is odd so a failure late in
-the run can still fall back on it. The run ends when a single pair is left
-(teleport with it), when every pair is lost but one was stored (teleport
-with the stored one), or when everything is gone (completely mixed output,
-fidelity 1/2).
+the run can still fall back on it. The run ends when no pair is left to
+combine: it teleports with the pair stored last (a single survivor is
+stored, then teleported at once), or, if none was ever stored, ends with a
+completely mixed output, fidelity 1/2.
 
 This module provides the one-step closed forms, a 16x16 matrix oracle for
 the step, the exact expected fidelity of the whole run, and a seeded
@@ -176,8 +176,9 @@ def enumerate_paths(n_ebits: int, lam0: float) -> list[tuple[float, float]]:
     stored pair, -1 if none). An odd count stores one pair at the current
     round and continues with the rest; a count of zero falls back on the
     stored pair (or on fidelity 1/2 if none was ever stored); j surviving
-    pairs out of count/2 attempts branch binomially, with j = 1 teleporting
-    immediately. Pending states are kept on an explicit stack.
+    pairs out of count/2 attempts branch binomially into the state
+    (j, round + 1, stored), so j = 0 ends at the fallback and j = 1 stores
+    its pair and teleports it. Pending states are kept on an explicit stack.
 
     The number of paths grows super-polynomially in n_ebits, so this is
     the small-N oracle for `expected_fidelity_dp`, not an evaluator.
@@ -190,15 +191,11 @@ def enumerate_paths(n_ebits: int, lam0: float) -> list[tuple[float, float]]:
         if count % 2 == 1:
             stored = rnd
             count -= 1
-        fallback = fid_seq[stored] if stored >= 0 else 0.5
         if count == 0:
-            paths.append((prob, fallback))
+            paths.append((prob, fid_seq[stored] if stored >= 0 else 0.5))
             continue
-        weights = _binomial_row(count // 2, p_seq[rnd])
-        paths.append((prob * weights[0], fallback))
-        paths.append((prob * weights[1], fid_seq[rnd + 1]))
-        for j in range(2, len(weights)):
-            pending.append((j, rnd + 1, stored, prob * weights[j]))
+        for j, weight in enumerate(_binomial_row(count // 2, p_seq[rnd])):
+            pending.append((j, rnd + 1, stored, prob * weight))
     return paths
 
 
@@ -224,13 +221,11 @@ def _walk_state(count: int, rnd: int, stored: int, p_seq: list, fid_seq: list, m
     key = (count, rnd, stored)
     if key in memo:
         return memo[key]
-    weights = row(count // 2, p_seq[rnd])
-    gains = [weights[1] * (fid_seq[rnd + 1] - fallback)]
-    paths = 2  # the j = 0 and j = 1 branches end the run
-    for j in range(2, len(weights)):
+    gains, paths = [], 0
+    for j, weight in enumerate(row(count // 2, p_seq[rnd])):
         value, sub_paths = _walk_state(j, rnd + 1, stored, p_seq, fid_seq, memo, row, total)
         paths += sub_paths
-        gains.append(weights[j] * (value - fallback))
+        gains.append(weight * (value - fallback))
     memo[key] = result = (fallback + total(gains), paths)
     return result
 

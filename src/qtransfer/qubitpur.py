@@ -28,7 +28,6 @@ from .qmath import BlochAngles, require_lambda
 DEFAULT_PROBE_ANGLES = BlochAngles(theta=1.2, phi=2.2)
 
 _SPIN_GROUP_RTOL = 1e-8
-_RESCALE_BITS = 512  # running sums below 2^-512 are scaled up by 2^512
 
 
 def multiplicity(n: int, m: int) -> int:
@@ -47,60 +46,45 @@ def multiplicity(n: int, m: int) -> int:
     return math.comb(n, k) - math.comb(n, k - 1)
 
 
-def _block_sums(m_max: int, lam0: float) -> tuple[list[tuple[float, int]], list[float]]:
+def _block_sums(m_max: int, c1, c0, xp=math) -> tuple[list, list]:
     """Geometric sums S_m and block fidelities f_m for block sizes m = 0..m_max.
 
     S_m = c1^m + c1^(m-1) c0 + ... + c0^m = c0^m + c1 S_(m-1), and with
     T_m = S_(m-1) + c1 T_(m-1), T_0 = 0, a block of size m >= 1 has fidelity
     f_m = c1 T_m / (m S_m); f_0 = 1/2. Every term is positive, so one pass
     is stable at the degenerate point c1 = c0 (lam0 = 1/4, where f_m is
-    exactly 1/2). S_m shrinks like c1^m, so the running values are rescaled
-    by exact powers of two before they can underflow; that changes no ratio
-    and no rounding. S_m is returned as a pair (value, exponent) with
-    S_m = ldexp(value, exponent).
+    exactly 1/2). S_m >= max(c1, c0) S_(m-1) >= S_(m-1)/2, so every 512
+    steps the running values are scaled by the power of two that puts S_m
+    back in [1/2, 1), and in between S_m stays above 2^-513, far from
+    underflow; scaling by a power of two changes no ratio and no rounding.
+    S_m is returned as a pair (value, exponent) with S_m = ldexp(value,
+    exponent). With numpy for `xp`, c1 and c0 may be arrays, and then so is
+    every value, fidelity and exponent.
     """
-    coeffs = channel.teleport_map(lam0)
-    c1, c0 = coeffs.c1, coeffs.c0
-    power, s, t, shift = 1.0, 1.0, 0.0, 0  # c0^m, S_m and T_m, each times 2^shift
-    sums, fidelities = [(1.0, 0)], [0.5]
-    for m in range(1, m_max + 1):
-        t = s + c1 * t
-        power *= c0
-        s = power + c1 * s
-        sums.append((s, -shift))
-        fidelities.append(c1 * t / (m * s))
-        if s < 2.0 ** -_RESCALE_BITS:
-            power, s, t = (math.ldexp(x, _RESCALE_BITS) for x in (power, s, t))
-            shift += _RESCALE_BITS
-    return sums, fidelities
-
-
-def _block_sums_grid(m_max: int, c1: np.ndarray, c0: np.ndarray) -> tuple[list, list]:
-    """`_block_sums` with arrays c1, c0: every value, fidelity and exponent is an array."""
-    power, s, t = np.ones_like(c1), np.ones_like(c1), np.zeros_like(c1)
-    shift = np.zeros(c1.shape, dtype=np.int64)
-    sums, fidelities = [(s, shift)], [np.full_like(c1, 0.5)]
+    s = power = 1.0 + 0.0 * c1  # S_m and c0^m, each times 2^shift, shaped like c1
+    t, shift = 0.0 * s, 0  # T_m times 2^shift
+    sums, fidelities = [(s, 0)], [0.5]
     for m in range(1, m_max + 1):
         t = s + c1 * t
         power = power * c0
         s = power + c1 * s
         sums.append((s, -shift))
         fidelities.append(c1 * t / (m * s))
-        small = s < 2.0 ** -_RESCALE_BITS
-        if small.any():
-            power, s, t = (np.where(small, np.ldexp(x, _RESCALE_BITS), x) for x in (power, s, t))
-            shift = shift + _RESCALE_BITS * small
+        if m % 512 == 0:
+            exp = xp.frexp(s)[1]
+            power, s, t = (xp.ldexp(x, -exp) for x in (power, s, t))
+            shift = shift - exp
     return sums, fidelities
 
 
-def _block_probabilities(n: int, pair, sums: list, ldexp=math.ldexp, frexp=math.frexp) -> list:
+def _block_probabilities(n: int, pair, sums: list, xp=math) -> list:
     """Probability multiplicity(n, m) (c0 c1)^k S_m of each block size m = n - 2k, k = 0, 1, ...
 
     `pair` is c0 c1 and `sums` the S_m of `_block_sums`. The multiplicities
     are exact integers from one binomial recurrence, and each factor is
     carried as a float and a binary exponent, so nothing overflows or
-    underflows before the product is formed, at any n. With numpy's ldexp
-    and frexp, `pair` and `sums` may hold arrays, and so does the result.
+    underflows before the product is formed, at any n. With numpy for
+    `xp`, `pair` and `sums` may hold arrays, and so does the result.
     """
     power, power_exp = 1.0, 0  # (c0 c1)^k = ldexp(power, power_exp)
     binom_below, binom = 0, 1  # C(n, k - 1) and C(n, k)
@@ -109,9 +93,9 @@ def _block_probabilities(n: int, pair, sums: list, ldexp=math.ldexp, frexp=math.
         mult = binom - binom_below  # multiplicity(n, n - 2k)
         mult_exp = max(mult.bit_length() - 64, 0)
         s_value, s_exp = sums[n - 2 * k]
-        weights.append(ldexp(float(mult >> mult_exp) * power * s_value,
-                             mult_exp + power_exp + s_exp))
-        power, exp = frexp(power * pair)
+        weights.append(xp.ldexp(float(mult >> mult_exp) * power * s_value,
+                                mult_exp + power_exp + s_exp))
+        power, exp = xp.frexp(power * pair)
         power_exp += exp
         binom_below, binom = binom, binom * (n - k) // (k + 1)
     return weights
@@ -145,10 +129,10 @@ def outcome_distribution(n: int, lam0: float, *, sums: list | None = None) -> Ou
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    coeffs = channel.teleport_map(lam0)
+    c1, c0 = channel.mixture_weights(lam0)
     if sums is None:
-        sums = _block_sums(n, lam0)[0]
-    weights = _block_probabilities(n, coeffs.c0 * coeffs.c1, sums)
+        sums = _block_sums(n, c1, c0)[0]
+    weights = _block_probabilities(n, c0 * c1, sums)
     probs = {n - 2 * k: weights[k] for k in reversed(range(n // 2 + 1))}
     return OutcomeDistribution(n=n, lambda0=lam0, probs=probs)
 
@@ -163,7 +147,7 @@ def single_qubit_fidelity(m: int, lam0: float) -> float:
     """
     if m < 0:
         raise ValueError("m must be nonnegative")
-    return _block_sums(m, lam0)[1][m]
+    return _block_sums(m, *channel.mixture_weights(lam0))[1][m]
 
 
 @dataclass(frozen=True)
@@ -180,7 +164,7 @@ def average_fidelity(n: int, lam0: float) -> QubitPurResult:
     if n < 1:
         raise ValueError("n must be at least 1")
     require_lambda(lam0, channel.LAMBDA_CRIT)
-    sums, fidelities = _block_sums(n, lam0)
+    sums, fidelities = _block_sums(n, *channel.mixture_weights(lam0))
     dist = outcome_distribution(n, lam0, sums=sums)
     per_m = {m: fidelities[m] for m in dist.probs}
     # The block probabilities can sum one ulp over 1; a fidelity cannot.
@@ -201,8 +185,8 @@ def average_fidelity_grid(n: int, lam0s) -> np.ndarray:
     lam0s = np.array(lam0s, dtype=float, ndmin=1)
     require_lambda(lam0s, channel.LAMBDA_CRIT)
     c1, c0 = channel.mixture_weights(lam0s)
-    sums, fidelities = _block_sums_grid(n, c1, c0)
-    probs = _block_probabilities(n, c0 * c1, sums, np.ldexp, np.frexp)
+    sums, fidelities = _block_sums(n, c1, c0, np)
+    probs = _block_probabilities(n, c0 * c1, sums, np)
     if not np.all(np.abs(qmath.fsum_columns(probs) - 1.0) <= 1e-12):
         raise ValueError("probabilities must sum to 1")
     terms = [p * fidelities[n - 2 * k] for k, p in enumerate(probs)]
@@ -277,8 +261,7 @@ def reduced_state_quadrature_oracle(m: int, lam0: float, nodes: int = 64,
         raise ValueError("the quadrature oracle supports block sizes 1 to 4")
     if nodes < 32:
         raise ValueError("at least 32 quadrature nodes are required")
-    coeffs = channel.teleport_map(lam0)
-    c1, c0 = coeffs.c1, coeffs.c0
+    c1, c0 = channel.mixture_weights(lam0)
     probe = angles if angles is not None else DEFAULT_PROBE_ANGLES
     psi = qmath.bloch_to_ket(probe)
     psi_bar = qmath.orthogonal_ket(probe)
@@ -294,7 +277,7 @@ def reduced_state_quadrature_oracle(m: int, lam0: float, nodes: int = 64,
     for _ in range(m):
         block = (block[:, None, :] * kets[None, :, :]).reshape(block.shape[0] * 2, -1)
     weights = np.repeat(0.5 * w, nodes) / nodes
-    geometric_sum = math.ldexp(*_block_sums(m, lam0)[0][m])  # S_m
+    geometric_sum = math.ldexp(*_block_sums(m, c1, c0)[0][m])  # S_m
     rho_block = (m + 1) / geometric_sum * ((block * weights[None, :]) @ block.conj().T)
     reduced = qmath.partial_trace(rho_block, keep=[0])
     return qmath.fidelity_pure(psi, reduced)

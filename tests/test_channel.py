@@ -14,21 +14,26 @@ def random_angles(rng):
 
 class TestTeleportMap:
     def test_ideal_channel(self):
-        coeffs = channel.teleport_map(1.0)
-        assert (coeffs.c1, coeffs.c0) == pytest.approx((1.0, 0.0), abs=1e-15)
+        assert channel.mixture_weights(1.0) == pytest.approx((1.0, 0.0), abs=1e-15)
 
     def test_critical_point(self):
-        coeffs = channel.teleport_map(0.25)
-        assert (coeffs.c1, coeffs.c0) == pytest.approx((0.5, 0.5), abs=1e-15)
+        assert channel.mixture_weights(0.25) == pytest.approx((0.5, 0.5), abs=1e-15)
 
     def test_generic_value(self):
-        coeffs = channel.teleport_map(0.7)
-        assert (coeffs.c1, coeffs.c0) == pytest.approx((0.8, 0.2), abs=1e-15)
+        assert channel.mixture_weights(0.7) == pytest.approx((0.8, 0.2), abs=1e-15)
+
+    def test_weights_form_a_distribution(self):
+        lams = np.linspace(0.0, 1.0, 101)
+        c1s, c0s = channel.mixture_weights(lams)
+        for lam, c1, c0 in zip(lams.tolist(), c1s.tolist(), c0s.tolist()):
+            assert channel.mixture_weights(lam) == (c1, c0)
+            assert c1 >= 0.0 and c0 >= 0.0
+            assert abs(c1 + c0 - 1.0) <= 1e-12
 
     @pytest.mark.parametrize("lam", [-0.1, 1.1, float("nan")])
     def test_rejects_out_of_protocol_range(self, lam):
         with pytest.raises(ValueError):
-            channel.teleport_map(lam)
+            channel.mixture_weights(lam)
 
 
 class TestSingleShotFidelity:

@@ -225,6 +225,13 @@ class TestValidate:
         assert main(["validate", "--mc-samples", "5000", "-o", str(out)]) == 0
         assert json.loads(out.read_text())["passed"] is True
 
+    @pytest.mark.parametrize("samples", ["0", "-5"])
+    def test_nonpositive_sample_count_is_an_input_error(self, capsys, samples):
+        assert main(["validate", "--mc-samples", samples]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
 
 class TestArgumentHandling:
     def test_unknown_command(self, capsys):

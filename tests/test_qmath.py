@@ -107,7 +107,7 @@ class TestLambdaDomain:
     # [0, 1] for the closed forms, [1/4, 1] for the two strategy evaluators.
     CASES = {
         "single_shot_fidelity": (channel.single_shot_fidelity, 0.0),
-        "teleport_map": (channel.teleport_map, 0.0),
+        "mixture_weights": (channel.mixture_weights, 0.0),
         "werner_density": (qmath.werner_density, 0.0),
         "pass_probability": (entpur.pass_probability, 0.0),
         "outcome_distribution": (lambda lam: qubitpur.outcome_distribution(3, lam), 0.0),

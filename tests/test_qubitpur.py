@@ -15,8 +15,7 @@ class TestMixtureCoefficients:
     def test_values(self, lam0, expected):
         # The block distribution is built on the channel's mixture: two
         # copies leave nothing behind with probability c1 * c0.
-        coeffs = channel.teleport_map(lam0)
-        assert (coeffs.c1, coeffs.c0) == pytest.approx(expected, abs=1e-15)
+        assert channel.mixture_weights(lam0) == pytest.approx(expected, abs=1e-15)
         assert qubitpur.outcome_distribution(2, lam0).probs[0] == pytest.approx(
             expected[0] * expected[1], abs=1e-15)
 
@@ -108,8 +107,7 @@ class TestSingleQubitFidelity:
             return math.fsum(c1 ** k * c0 ** (order - k) for k in range(order + 1))
 
         for lam0 in (0.25, 0.2500001, 0.3, 0.625, 0.8, 0.999, 1.0):
-            coeffs = channel.teleport_map(lam0)
-            c1, c0 = coeffs.c1, coeffs.c0
+            c1, c0 = channel.mixture_weights(lam0)
             for m in range(1, 61):
                 numerator = math.fsum(c1 ** k * split_sum(c1, c0, m - 1 - k) for k in range(m))
                 oracle = c1 * numerator / (m * split_sum(c1, c0, m))
@@ -180,7 +178,8 @@ SWEEP_GRID = np.linspace(0.25, 1.0, 42)[1:-1]
 class TestAverageFidelityGrid:
     @pytest.mark.parametrize("grid", [PRESCAN_GRID, SWEEP_GRID], ids=["prescan", "sweep"])
     def test_equals_single_point_evaluator(self, grid):
-        for n in range(1, 61):
+        # 513 and up pass the recurrence's first renormalization, at m = 512.
+        for n in [*range(1, 61), 513, 1100, 4096]:
             values = qubitpur.average_fidelity_grid(n, grid).tolist()
             expected = [qubitpur.average_fidelity(n, float(lam)).expected_fidelity for lam in grid]
             assert values == expected, n
