@@ -2,19 +2,21 @@
 
 Includes the discard-to-odd rule for the purification strategy (an even
 supply keeps a strictly weaker guarantee than the next odd one down, so
-one pair is dropped), grid sweeps of all strategies, and bisection for the
-channel quality at which each purification strategy breaks even with the
-classical estimation baseline.
+one pair is dropped), grid sweeps of all strategies, and a bracketed root
+finder for the channel quality at which each purification strategy breaks
+even with the classical estimation baseline.
 
 Tables evaluate each strategy once per N over a whole lambda0 grid, with
 `entpur.expected_fidelity_grid` and `qubitpur.average_fidelity_grid`:
 `sweep` for its rows, `crossing_points` for its 64-point prescan. The
-bisection after the prescan, and every single-point query, use the
-single-point evaluators, which are faster for one lambda0.
+Illinois steps that refine each crossing to float resolution after the
+prescan, and every single-point query, use the single-point evaluators,
+which are faster for one lambda0.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,10 +26,11 @@ from . import entpur, estimate, qubitpur
 METHOD_NAMES = ("ent_pur", "estimation", "qubit_pur")
 
 _PRESCAN_LAMBDAS = np.linspace(0.25, 1.0, 64)
+_SPARE_STEPS = 3
 
 
 class AmbiguousCrossingError(RuntimeError):
-    """The prescan found more than one sign change, so bisection would be arbitrary."""
+    """The prescan found more than one sign change, so any one root would be arbitrary."""
 
     def __init__(self, n: int, method: str, brackets):
         self.n = n
@@ -54,7 +57,11 @@ class SweepRow:
 
 @dataclass(frozen=True)
 class CrossingResult:
-    """Break-even channel qualities of both purification strategies against estimation."""
+    """Break-even channel qualities of both purification strategies against estimation.
+
+    `tolerance` is the width of the wider of the two final brackets, each
+    of which holds a sign change of its strategy's gap to the baseline.
+    """
 
     n: int
     lambda_1: float | None
@@ -125,11 +132,21 @@ def sweep(methods, n_values, lambda_grid) -> list[SweepRow]:
             for lam, fidelity in zip(lambdas, _evaluate_grid(m, n, lambdas))]
 
 
-def _find_crossing(gap, prescan_gaps: np.ndarray, n: int, method: str, tol: float) -> float | None:
-    """Unique root of `gap` on [1/4, 1] located by prescan plus bisection.
+def _find_crossing(gap, prescan_gaps: np.ndarray, n: int, method: str,
+                   tol: float) -> tuple[float | None, float]:
+    """Unique root of `gap` on [1/4, 1] and the width of its final bracket.
 
     `prescan_gaps` holds the values of `gap` on `_PRESCAN_LAMBDAS`, from one
-    grid evaluation; the bisection evaluates `gap` one point at a time.
+    grid evaluation. Its one sign change is refined with single-point `gap`
+    values by Illinois steps (Dowell and Jarratt 1971: regula falsi that
+    halves the secant weight of an end kept twice in a row), until the
+    bracket is no wider than `tol` or no float lies strictly inside it.
+    As in ITP (Oliveira and Takahashi 2020), each step is pulled toward
+    the midpoint just enough to keep the bracket on bisection's schedule,
+    so no root takes more than `_SPARE_STEPS` steps beyond bisection's.
+    `gap` changes sign across every bracket; prescan ends whose scalar
+    gaps do not raise ArithmeticError. The root returned is the end of
+    the final bracket with the smaller |gap|.
     """
     xs = _PRESCAN_LAMBDAS
     gs = prescan_gaps.tolist()
@@ -142,48 +159,74 @@ def _find_crossing(gap, prescan_gaps: np.ndarray, n: int, method: str, tol: floa
     if gs[-1] == 0.0:
         brackets.append((float(xs[-1]), float(xs[-1])))
     if not brackets:
-        return None
+        return None, 0.0
     if len(brackets) > 1:
         raise AmbiguousCrossingError(n, method, brackets)
     lo, hi = brackets[0]
     if lo == hi:
-        return lo
-    g_lo = gap(lo)
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        g_mid = gap(mid)
-        if g_mid == 0.0:
-            return mid
-        if (g_mid < 0.0) == (g_lo < 0.0):
-            lo, g_lo = mid, g_mid
+        return lo, 0.0
+    g_lo, g_hi = gap(lo), gap(hi)
+    if g_lo == 0.0 or g_hi == 0.0:
+        return (lo if g_lo == 0.0 else hi), 0.0
+    if (g_lo < 0.0) == (g_hi < 0.0):
+        raise ArithmeticError(f"the {method} gap to the estimation baseline does not change "
+                              f"sign across its prescan bracket ({lo}, {hi}) for N={n}")
+    w_lo, w_hi = g_lo, g_hi  # secant weights of the ends
+    moved = None  # the end the last step replaced
+    # Bisection narrows the bracket to `unit` in `budget - _SPARE_STEPS`
+    # steps; each step keeps it within unit * 2**budget, budget steps left.
+    unit = max(tol, math.ulp(lo))
+    budget = math.ceil(math.log2((hi - lo) / unit)) + _SPARE_STEPS
+    while hi - lo > tol and lo < (mid := 0.5 * (lo + hi)) < hi:
+        budget -= 1
+        reach = unit * 2.0 ** budget - 0.5 * (hi - lo)
+        x = lo - w_lo * (hi - lo) / (w_hi - w_lo)
+        x = min(max(x, mid - reach), mid + reach)
+        if not lo < x < hi:
+            x = mid
+        g = gap(x)
+        if g == 0.0:
+            return x, 0.0
+        if (g < 0.0) == (g_lo < 0.0):
+            lo, g_lo, w_lo = x, g, g
+            if moved == "lo":
+                w_hi *= 0.5
+            moved = "lo"
         else:
-            hi = mid
-    return 0.5 * (lo + hi)
+            hi, g_hi, w_hi = x, g, g
+            if moved == "hi":
+                w_lo *= 0.5
+            moved = "hi"
+    return (lo if abs(g_lo) <= abs(g_hi) else hi), hi - lo
 
 
-def crossing_points(n: int, tol: float = 1e-10) -> CrossingResult:
+def crossing_points(n: int, tol: float | None = None) -> CrossingResult:
     """Channel qualities where each purification strategy matches estimation.
 
     lambda_1 is the break-even point of the channel-purification strategy
     (with the discard-to-odd rule), lambda_2 that of teleport-then-purify.
     A 64-point prescan over [1/4, 1] must see exactly one sign change per
     strategy; more than one raises AmbiguousCrossingError, and none yields
-    an absent value.
+    an absent value. Each root is then refined to float resolution, or
+    until its bracket is no wider than `tol` (at least 1e-12) if given.
+    The result's `tolerance` is the wider of the two final brackets.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    if tol < 1e-12:
+    if tol is not None and not tol >= 1e-12:
         raise ValueError("tolerance must be at least 1e-12")
+    tol = 0.0 if tol is None else tol
     baseline = estimate.estimation_fidelity(n).fidelity
-    lambda_1 = _find_crossing(lambda lam: effective_entpur_fidelity(n, lam) - baseline,
-                              entpur.expected_fidelity_grid(_odd_supply(n), _PRESCAN_LAMBDAS)
-                              - baseline,
-                              n, "ent_pur", tol)
-    lambda_2 = _find_crossing(lambda lam: qubitpur.average_fidelity(n, lam).expected_fidelity
-                              - baseline,
-                              qubitpur.average_fidelity_grid(n, _PRESCAN_LAMBDAS) - baseline,
-                              n, "qubit_pur", tol)
-    return CrossingResult(n=n, lambda_1=lambda_1, lambda_2=lambda_2, tolerance=tol)
+    lambda_1, width_1 = _find_crossing(
+        lambda lam: effective_entpur_fidelity(n, lam) - baseline,
+        entpur.expected_fidelity_grid(_odd_supply(n), _PRESCAN_LAMBDAS) - baseline,
+        n, "ent_pur", tol)
+    lambda_2, width_2 = _find_crossing(
+        lambda lam: qubitpur.average_fidelity(n, lam).expected_fidelity - baseline,
+        qubitpur.average_fidelity_grid(n, _PRESCAN_LAMBDAS) - baseline,
+        n, "qubit_pur", tol)
+    return CrossingResult(n=n, lambda_1=lambda_1, lambda_2=lambda_2,
+                          tolerance=max(width_1, width_2))
 
 
 def recommend(n: int, lam0: float) -> str:

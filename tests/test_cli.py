@@ -220,6 +220,13 @@ class TestValidate:
         assert summary["passed"] is False
         assert "purification_twirl_consistency" in summary["failed"]
 
+    @pytest.mark.parametrize("samples", ["1", "2", "3"])
+    @pytest.mark.parametrize("seed", ["0", "1"])
+    def test_few_monte_carlo_samples_pass(self, capsys, samples, seed):
+        # Tied samples have a sample standard error of 0; the check must not use it.
+        assert main(["validate", "--mc-samples", samples, "--seed", seed]) == 0
+        assert json.loads(capsys.readouterr().out)["failed"] == []
+
     def test_report_can_be_written_to_a_file(self, tmp_path):
         out = tmp_path / "validate.json"
         assert main(["validate", "--mc-samples", "5000", "-o", str(out)]) == 0

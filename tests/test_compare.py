@@ -1,8 +1,48 @@
+from types import SimpleNamespace
+
+import mpmath
 import numpy as np
 import pytest
 
 from qtransfer import compare, entpur, qubitpur
 from qtransfer.compare import AmbiguousCrossingError, CrossingResult
+from test_qubitpur import _mp_qubit_pur
+
+
+def _mp_ent_pur(n, lam):
+    """Expected terminal fidelity of the run on n pairs, in mpmath at the working precision.
+
+    A memoized DP over the walk state (pair count, round, round of the
+    stored pair): an odd count stores a pair, an empty count falls back on
+    the stored pair (or on 1/2), and j survivors of count/2 attempts move
+    to (j, round + 1, stored) with binomial weight.
+    """
+    lams = [lam]
+
+    def lam_at(rnd):
+        while len(lams) <= rnd:
+            x = lams[-1]
+            lams.append((10 * x * x - 2 * x + 1) / (8 * x * x - 4 * x + 5))
+        return lams[rnd]
+
+    memo = {}
+
+    def value(count, rnd, stored):
+        if count % 2:
+            count, stored = count - 1, rnd
+        fallback = (2 * lam_at(stored) + 1) / 3 if stored >= 0 else mpmath.mpf(1) / 2
+        if count == 0:
+            return fallback
+        if (count, rnd, stored) not in memo:
+            x = lam_at(rnd)
+            p, pairs = (8 * x * x - 4 * x + 5) / 9, count // 2
+            memo[count, rnd, stored] = mpmath.fsum(
+                mpmath.binomial(pairs, j) * p ** j * (1 - p) ** (pairs - j)
+                * (fallback if j == 0 else value(j, rnd + 1, stored))
+                for j in range(pairs + 1))
+        return memo[count, rnd, stored]
+
+    return value(n, 0, -1)
 
 
 class TestEffectiveFidelity:
@@ -125,6 +165,8 @@ class TestCrossingPoints:
         with pytest.raises(ValueError):
             compare.crossing_points(3, tol=1e-13)
         with pytest.raises(ValueError):
+            compare.crossing_points(3, tol=float("nan"))
+        with pytest.raises(ValueError):
             compare.crossing_points(0)
 
     def test_result_invariant_enforced(self):
@@ -146,6 +188,71 @@ class TestCrossingPoints:
                     compare.crossing_points(3)
             assert err.value.n == 3
             assert err.value.method == method
+
+
+class TestCrossingAccuracyAndWork:
+    # Largest distance of a float root from its 30-digit mpmath root at
+    # N <= 40 is 1.3e-14, from rounding in the float evaluators; a root this
+    # close to a 12-digit rounding boundary may print either neighbour.
+    NOISE = 2e-14
+    NEAR_ROUNDING_BOUNDARY = {(30, "lambda_2")}  # 0.63780903917150088...
+
+    def test_printed_digits_match_multiprecision_roots(self):
+        for n in range(3, 41):
+            result = compare.crossing_points(n)
+            odd_n = n if n % 2 else n - 1
+            with mpmath.workdps(30):
+                baseline = mpmath.mpf(n + 1) / (n + 2)
+                for name, fidelity, supply in (("lambda_1", _mp_ent_pur, odd_n),
+                                               ("lambda_2", _mp_qubit_pur, n)):
+                    value = getattr(result, name)
+                    root = mpmath.findroot(lambda x: fidelity(supply, x) - baseline,
+                                           mpmath.mpf(value))
+                    assert abs(value - root) <= self.NOISE, (n, name)
+                    to_boundary = abs(root * 10 ** 12 % 1 - 0.5) * 1e-12
+                    if (n, name) in self.NEAR_ROUNDING_BOUNDARY:
+                        assert to_boundary <= self.NOISE, (n, name)
+                    else:
+                        assert float(format(value, ".12g")) == float(mpmath.nstr(root, 12)), \
+                            (n, name, value, root)
+
+    def test_fewer_evaluations_than_bisection(self, monkeypatch):
+        calls = []
+        for module, name in ((entpur, "expected_fidelity_dp"), (qubitpur, "average_fidelity")):
+            def counted(*args, _evaluate=getattr(module, name), _name=name):
+                calls.append(_name)
+                return _evaluate(*args)
+            monkeypatch.setattr(module, name, counted)
+        xs = compare._PRESCAN_LAMBDAS
+        per_root = []
+        for n in range(3, 41):
+            calls.clear()
+            result = compare.crossing_points(n)
+            for name, root in (("expected_fidelity_dp", result.lambda_1),
+                               ("average_fidelity", result.lambda_2)):
+                i = int(np.searchsorted(xs, root))
+                lo, hi = float(xs[i - 1]), float(xs[i])
+                bisection_steps = 0
+                while lo < 0.5 * (lo + hi) < hi:
+                    lo, bisection_steps = 0.5 * (lo + hi), bisection_steps + 1
+                per_root.append(calls.count(name))
+                assert per_root[-1] <= 2 + bisection_steps, (n, name)
+        assert sum(per_root) / len(per_root) <= 12.0
+
+    def test_tolerance_reports_the_final_bracket(self):
+        coarse = compare.crossing_points(9, tol=1e-6)
+        assert 0.0 < coarse.tolerance <= 1e-6
+        fine = compare.crossing_points(9)
+        assert fine.tolerance <= 2.0 * np.spacing(fine.lambda_1)
+        assert abs(coarse.lambda_2 - fine.lambda_2) <= coarse.tolerance
+
+
+    def test_prescan_bracket_without_a_scalar_sign_change_is_an_error(self, monkeypatch):
+        # The root finder must not iterate on a bracket the scalar gap does not confirm.
+        monkeypatch.setattr(qubitpur, "average_fidelity",
+                            lambda n, lam: SimpleNamespace(expected_fidelity=1.0))
+        with pytest.raises(ArithmeticError, match="prescan bracket"):
+            compare.crossing_points(9)
 
 
 class TestRecommend:

@@ -49,6 +49,19 @@ def test_odd_supply_beats_the_next_even_one(k, lam0):
             > entpur.expected_fidelity_dp(2 * k + 2, lam0).expected_fidelity)
 
 
+@settings(PROPERTY_SETTINGS, max_examples=25)
+@given(n=st.integers(min_value=1, max_value=200))
+def test_crossings_are_sign_changes_of_the_scalar_gap(n):
+    # Both fidelities rise with lambda0, so each gap is negative just below its root.
+    result = compare.crossing_points(n)
+    baseline = (n + 1) / (n + 2)
+    for root, fidelity in ((result.lambda_1, compare.effective_entpur_fidelity),
+                           (result.lambda_2,
+                            lambda n, lam: qubitpur.average_fidelity(n, lam).expected_fidelity)):
+        if root is not None:
+            assert fidelity(n, root - 1e-12) - baseline <= 0.0 <= fidelity(n, root + 1e-12) - baseline
+
+
 # Sizes stay small so that every command line runs in milliseconds.
 cli_supplies = st.integers(min_value=-2, max_value=40)
 lambda_tokens = st.one_of(

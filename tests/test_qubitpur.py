@@ -203,27 +203,31 @@ def _multiplicities(n):
 
 
 def _mp_average_fidelity(n, lam0, digits=50):
-    """sum_m p_m f_m from the ratio forms of the closed forms, in mpmath at `digits` digits.
+    """`_mp_qubit_pur` at `digits` digits, rounded to a float."""
+    with mpmath.workdps(digits):
+        return float(_mp_qubit_pur(n, mpmath.mpf(lam0)))
+
+
+def _mp_qubit_pur(n, lam):
+    """sum_m p_m f_m from the ratio forms of the closed forms, in mpmath at the working precision.
 
     S_m = (c1^(m+1) - c0^(m+1))/(c1 - c0), p_m = multiplicity(n, m) (c0 c1)^k S_m
-    and f_m = (m c1^(m+1) - c1 c0 S_(m-1)) / ((c1 - c0) m S_m); needs lam0 > 1/4.
+    and f_m = (m c1^(m+1) - c1 c0 S_(m-1)) / ((c1 - c0) m S_m); needs lam > 1/4.
     """
-    with mpmath.workdps(digits):
-        lam = mpmath.mpf(lam0)
-        c1, c0 = (1 + 2 * lam) / 3, 2 * (1 - lam) / 3
-        pow1, pow0 = [mpmath.mpf(1)], [mpmath.mpf(1)]
-        for _ in range(n + 1):
-            pow1.append(pow1[-1] * c1)
-            pow0.append(pow0[-1] * c0)
-        geometric = [(pow1[m + 1] - pow0[m + 1]) / (c1 - c0) for m in range(n + 1)]
-        total = mpmath.mpf(0)
-        for m, mult in _multiplicities(n).items():
-            k = (n - m) // 2
-            prob = mult * pow0[k] * pow1[k] * geometric[m]
-            fid = (mpmath.mpf(0.5) if m == 0 else
-                   (m * pow1[m + 1] - c1 * c0 * geometric[m - 1]) / ((c1 - c0) * m * geometric[m]))
-            total += prob * fid
-        return float(total)
+    c1, c0 = (1 + 2 * lam) / 3, 2 * (1 - lam) / 3
+    pow1, pow0 = [mpmath.mpf(1)], [mpmath.mpf(1)]
+    for _ in range(n + 1):
+        pow1.append(pow1[-1] * c1)
+        pow0.append(pow0[-1] * c0)
+    geometric = [(pow1[m + 1] - pow0[m + 1]) / (c1 - c0) for m in range(n + 1)]
+    total = mpmath.mpf(0)
+    for m, mult in _multiplicities(n).items():
+        k = (n - m) // 2
+        prob = mult * pow0[k] * pow1[k] * geometric[m]
+        fid = (mpmath.mpf(0.5) if m == 0 else
+               (m * pow1[m + 1] - c1 * c0 * geometric[m - 1]) / ((c1 - c0) * m * geometric[m]))
+        total += prob * fid
+    return total
 
 
 class TestSpinProjectorOracle:
