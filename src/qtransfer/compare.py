@@ -132,15 +132,15 @@ def sweep(methods, n_values, lambda_grid) -> list[SweepRow]:
             for lam, fidelity in zip(lambdas, _evaluate_grid(m, n, lambdas))]
 
 
-def _find_crossing(gap, prescan_gaps: np.ndarray, n: int, method: str,
-                   tol: float) -> tuple[float | None, float]:
+def _find_crossing(gap, prescan_gaps: np.ndarray, n: int,
+                   method: str) -> tuple[float | None, float]:
     """Unique root of `gap` on [1/4, 1] and the width of its final bracket.
 
     `prescan_gaps` holds the values of `gap` on `_PRESCAN_LAMBDAS`, from one
     grid evaluation. Its one sign change is refined with single-point `gap`
     values by Illinois steps (Dowell and Jarratt 1971: regula falsi that
-    halves the secant weight of an end kept twice in a row), until the
-    bracket is no wider than `tol` or no float lies strictly inside it.
+    halves the secant weight of an end kept twice in a row), until no
+    float lies strictly inside the bracket.
     As in ITP (Oliveira and Takahashi 2020), each step is pulled toward
     the midpoint just enough to keep the bracket on bisection's schedule,
     so no root takes more than `_SPARE_STEPS` steps beyond bisection's.
@@ -175,9 +175,9 @@ def _find_crossing(gap, prescan_gaps: np.ndarray, n: int, method: str,
     moved = None  # the end the last step replaced
     # Bisection narrows the bracket to `unit` in `budget - _SPARE_STEPS`
     # steps; each step keeps it within unit * 2**budget, budget steps left.
-    unit = max(tol, math.ulp(lo))
+    unit = math.ulp(lo)
     budget = math.ceil(math.log2((hi - lo) / unit)) + _SPARE_STEPS
-    while hi - lo > tol and lo < (mid := 0.5 * (lo + hi)) < hi:
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
         budget -= 1
         reach = unit * 2.0 ** budget - 0.5 * (hi - lo)
         x = lo - w_lo * (hi - lo) / (w_hi - w_lo)
@@ -200,31 +200,27 @@ def _find_crossing(gap, prescan_gaps: np.ndarray, n: int, method: str,
     return (lo if abs(g_lo) <= abs(g_hi) else hi), hi - lo
 
 
-def crossing_points(n: int, tol: float | None = None) -> CrossingResult:
+def crossing_points(n: int) -> CrossingResult:
     """Channel qualities where each purification strategy matches estimation.
 
     lambda_1 is the break-even point of the channel-purification strategy
     (with the discard-to-odd rule), lambda_2 that of teleport-then-purify.
     A 64-point prescan over [1/4, 1] must see exactly one sign change per
     strategy; more than one raises AmbiguousCrossingError, and none yields
-    an absent value. Each root is then refined to float resolution, or
-    until its bracket is no wider than `tol` (at least 1e-12) if given.
-    The result's `tolerance` is the wider of the two final brackets.
+    an absent value. Each root is then refined to float resolution; the
+    result's `tolerance` is the wider of the two final brackets.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    if tol is not None and not tol >= 1e-12:
-        raise ValueError("tolerance must be at least 1e-12")
-    tol = 0.0 if tol is None else tol
     baseline = estimate.estimation_fidelity(n).fidelity
     lambda_1, width_1 = _find_crossing(
         lambda lam: effective_entpur_fidelity(n, lam) - baseline,
         entpur.expected_fidelity_grid(_odd_supply(n), _PRESCAN_LAMBDAS) - baseline,
-        n, "ent_pur", tol)
+        n, "ent_pur")
     lambda_2, width_2 = _find_crossing(
         lambda lam: qubitpur.average_fidelity(n, lam).expected_fidelity - baseline,
         qubitpur.average_fidelity_grid(n, _PRESCAN_LAMBDAS) - baseline,
-        n, "qubit_pur", tol)
+        n, "qubit_pur")
     return CrossingResult(n=n, lambda_1=lambda_1, lambda_2=lambda_2,
                           tolerance=max(width_1, width_2))
 

@@ -15,7 +15,8 @@ programme over the walk state (pair count, round, round of the stored
 pair): N pairs reach about 1.4 N states (257 at N=193), and each state
 takes its branch weights from one binomial row, about N^2/10 terms in all.
 Enumerating every outcome path instead grows super-polynomially (169,396
-paths at N=193); `enumerate_paths` keeps that walk as the small-N oracle.
+paths at N=193); `enumerate_paths` keeps that walk as the small-N oracle,
+and `path_count` counts its paths, which do not depend on lam0, in O(N).
 """
 
 from __future__ import annotations
@@ -152,12 +153,13 @@ class EntPurResult:
 
 
 def _run_sequences(n_ebits: int, lam0) -> tuple[list, list]:
-    """Check a run's arguments; return the pass probability and the teleportation fidelity by round.
+    """Check a run's arguments; return the pass probability and the end fidelity by round.
 
     Entry r belongs to the pair after r kept purification rounds: its
     teleportation fidelity for every round the run can reach, its pass
-    probability for every round that can still purify. lam0 may be an
-    array, and then so is every entry.
+    probability for every round that can still purify. The end fidelities
+    close with 1/2, the mixed output, read at index -1 when nothing was
+    stored. lam0 may be an array, and then so is every other entry.
     """
     if n_ebits < 1:
         raise ValueError("the run needs at least one pair")
@@ -166,7 +168,7 @@ def _run_sequences(n_ebits: int, lam0) -> tuple[list, list]:
     for _ in range(max(1, math.ceil(math.log2(max(n_ebits, 2)))) + 1):
         lam_seq.append(purify_lambda(lam_seq[-1]))
     return ([pass_probability(lam) for lam in lam_seq[:-1]],
-            [single_shot_fidelity(lam) for lam in lam_seq])
+            [single_shot_fidelity(lam) for lam in lam_seq] + [0.5])
 
 
 def enumerate_paths(n_ebits: int, lam0: float) -> list[tuple[float, float]]:
@@ -183,7 +185,7 @@ def enumerate_paths(n_ebits: int, lam0: float) -> list[tuple[float, float]]:
     The number of paths grows super-polynomially in n_ebits, so this is
     the small-N oracle for `expected_fidelity_dp`, not an evaluator.
     """
-    p_seq, fid_seq = _run_sequences(n_ebits, lam0)
+    p_seq, ends = _run_sequences(n_ebits, lam0)
     paths: list[tuple[float, float]] = []
     pending = [(n_ebits, 0, -1, 1.0)]
     while pending:
@@ -192,16 +194,33 @@ def enumerate_paths(n_ebits: int, lam0: float) -> list[tuple[float, float]]:
             stored = rnd
             count -= 1
         if count == 0:
-            paths.append((prob, fid_seq[stored] if stored >= 0 else 0.5))
+            paths.append((prob, ends[stored]))
             continue
         for j, weight in enumerate(_binomial_row(count // 2, p_seq[rnd])):
             pending.append((j, rnd + 1, stored, prob * weight))
     return paths
 
 
-def _walk_state(count: int, rnd: int, stored: int, p_seq: list, fid_seq: list, memo: dict,
-                row=_binomial_row, total=math.fsum) -> tuple:
-    """Expected terminal fidelity and number of outcome paths from one walk state.
+def path_count(n_ebits: int) -> int:
+    """Number of outcome paths of the run on n_ebits pairs, as `enumerate_paths` lists them.
+
+    The walk's branching does not depend on lam0, so neither does the
+    count P: P(0) = 1, an odd count stores a pair, P(c) = P(c - 1), and an
+    even count branches into every survivor count j = 0..c/2,
+    P(c) = P(0) + ... + P(c/2). Prefix sums make that O(n_ebits).
+    """
+    prefix = [1]  # prefix[c] = P(0) + ... + P(c)
+    paths = 1
+    for c in range(1, n_ebits + 1):
+        if c % 2 == 0:
+            paths = prefix[c // 2]
+        prefix.append(prefix[-1] + paths)
+    return paths
+
+
+def _walk_state(count: int, rnd: int, stored: int, p_seq: list, ends: list, memo: dict,
+                row=_binomial_row, total=math.fsum):
+    """Expected terminal fidelity from one walk state.
 
     The state and its branches are those of `enumerate_paths`, with the
     branch weights read from one binomial row. Each value is written as its
@@ -215,19 +234,18 @@ def _walk_state(count: int, rnd: int, stored: int, p_seq: list, fid_seq: list, m
     if count % 2 == 1:
         stored = rnd
         count -= 1
-    fallback = fid_seq[stored] if stored >= 0 else 0.5
+    fallback = ends[stored]
     if count == 0:
-        return fallback, 1
+        return fallback
     key = (count, rnd, stored)
     if key in memo:
         return memo[key]
-    gains, paths = [], 0
+    gains = []
     for j, weight in enumerate(row(count // 2, p_seq[rnd])):
-        value, sub_paths = _walk_state(j, rnd + 1, stored, p_seq, fid_seq, memo, row, total)
-        paths += sub_paths
-        gains.append(weight * (value - fallback))
-    memo[key] = result = (fallback + total(gains), paths)
-    return result
+        gains.append(weight * (_walk_state(j, rnd + 1, stored, p_seq, ends, memo, row, total)
+                               - fallback))
+    memo[key] = value = fallback + total(gains)
+    return value
 
 
 def expected_fidelity_dp(n_ebits: int, lam0: float) -> EntPurResult:
@@ -235,11 +253,11 @@ def expected_fidelity_dp(n_ebits: int, lam0: float) -> EntPurResult:
 
     A memoized dynamic programme over the walk state of `enumerate_paths`;
     `path_count` is the number of outcome paths that walk would list,
-    counted by the same programme.
+    from the lam0-free recurrence of `path_count`.
     """
-    p_seq, fid_seq = _run_sequences(n_ebits, lam0)
-    expected, paths = _walk_state(n_ebits, 0, -1, p_seq, fid_seq, {})
-    return EntPurResult(expected_fidelity=expected, path_count=paths)
+    p_seq, ends = _run_sequences(n_ebits, lam0)
+    return EntPurResult(expected_fidelity=_walk_state(n_ebits, 0, -1, p_seq, ends, {}),
+                        path_count=path_count(n_ebits))
 
 
 def expected_fidelity_grid(n_ebits: int, lam0s) -> np.ndarray:
@@ -251,10 +269,8 @@ def expected_fidelity_grid(n_ebits: int, lam0s) -> np.ndarray:
     log may round differently from the math module's; the sums are
     correctly rounded in both.
     """
-    p_seq, fid_seq = _run_sequences(n_ebits, np.array(lam0s, dtype=float, ndmin=1))
-    expected, _ = _walk_state(n_ebits, 0, -1, p_seq, fid_seq, {}, _binomial_rows,
-                              qmath.fsum_columns)
-    return expected
+    p_seq, ends = _run_sequences(n_ebits, np.array(lam0s, dtype=float, ndmin=1))
+    return _walk_state(n_ebits, 0, -1, p_seq, ends, {}, _binomial_rows, qmath.fsum_columns)
 
 
 def mc_simulate(n_ebits: int, lam0: float, samples: int, seed: int) -> EntPurResult:
@@ -265,45 +281,31 @@ def mc_simulate(n_ebits: int, lam0: float, samples: int, seed: int) -> EntPurRes
     expectation alongside the sample mean, its standard error, and the
     seed; results are deterministic for a fixed (seed, samples).
     """
-    p_seq, fid_seq = _run_sequences(n_ebits, lam0)
+    p_seq, ends = _run_sequences(n_ebits, lam0)
     if samples < 1:
         raise ValueError("samples must be at least 1")
     exact = expected_fidelity_dp(n_ebits, lam0)
     rng = np.random.default_rng(seed)
-    fid_by_round = np.array(fid_seq)
+    ends = np.array(ends)
 
+    # The samples still running, kept in ascending order, which fixes the
+    # order in which the binomial draws take the random stream.
+    live = np.arange(samples)
     count = np.full(samples, n_ebits, dtype=np.int64)
     stored = np.full(samples, -1, dtype=np.int64)
     result = np.empty(samples, dtype=float)
-    active = np.ones(samples, dtype=bool)
     rnd = 0
-    while active.any():
-        odd = active & (count % 2 == 1)
+    while True:
+        odd = count % 2 == 1
         stored[odd] = rnd
-        count[odd] -= 1
-
-        exhausted = active & (count == 0)
-        if exhausted.any():
-            has_store = exhausted & (stored >= 0)
-            result[has_store] = fid_by_round[stored[has_store]]
-            result[exhausted & (stored < 0)] = 0.5
-            active &= ~exhausted
-        if not active.any():
+        count -= odd
+        over = count == 0
+        result[live[over]] = ends[stored[over]]
+        running = ~over
+        live, count, stored = live[running], count[running], stored[running]
+        if live.size == 0:
             break
-
-        idx = np.flatnonzero(active)
-        j = rng.binomial(count[idx] // 2, p_seq[rnd])
-
-        done_one = idx[j == 1]
-        result[done_one] = fid_by_round[rnd + 1]
-        done_zero = idx[j == 0]
-        zero_store = stored[done_zero] >= 0
-        result[done_zero[zero_store]] = fid_by_round[stored[done_zero[zero_store]]]
-        result[done_zero[~zero_store]] = 0.5
-
-        count[idx] = j
-        active[done_one] = False
-        active[done_zero] = False
+        count = rng.binomial(count // 2, p_seq[rnd])
         rnd += 1
 
     if samples == 1 or np.all(result == result[0]):

@@ -152,11 +152,10 @@ def single_qubit_fidelity(m: int, lam0: float) -> float:
 
 @dataclass(frozen=True)
 class QubitPurResult:
-    """Average output fidelity with its per-block breakdown."""
+    """Average output fidelity with the distribution of surviving block sizes."""
 
     expected_fidelity: float
     distribution: OutcomeDistribution
-    per_m_fidelity: dict[int, float]
 
 
 def average_fidelity(n: int, lam0: float) -> QubitPurResult:
@@ -166,10 +165,9 @@ def average_fidelity(n: int, lam0: float) -> QubitPurResult:
     require_lambda(lam0, channel.LAMBDA_CRIT)
     sums, fidelities = _block_sums(n, *channel.mixture_weights(lam0))
     dist = outcome_distribution(n, lam0, sums=sums)
-    per_m = {m: fidelities[m] for m in dist.probs}
     # The block probabilities can sum one ulp over 1; a fidelity cannot.
-    expected = min(math.fsum(dist.probs[m] * per_m[m] for m in dist.probs), 1.0)
-    return QubitPurResult(expected_fidelity=expected, distribution=dist, per_m_fidelity=per_m)
+    expected = min(math.fsum(p * fidelities[m] for m, p in dist.probs.items()), 1.0)
+    return QubitPurResult(expected_fidelity=expected, distribution=dist)
 
 
 def average_fidelity_grid(n: int, lam0s) -> np.ndarray:

@@ -168,7 +168,7 @@ def test_10_collective_purification_dominates():
 
 def test_11_crossing_anchors_and_trends():
     start = time.perf_counter()
-    results = {n: compare.crossing_points(n, tol=1e-10) for n in range(1, 32)}
+    results = {n: compare.crossing_points(n) for n in range(1, 32)}
     ok = abs(results[1].lambda_1 - 0.5) <= 1e-9
     ok &= abs(results[1].lambda_2 - 0.5) <= 1e-9
     ok &= abs(results[2].lambda_1 - results[2].lambda_2) <= 1e-9

@@ -141,6 +141,8 @@ class TestRunExpectation:
                 assert abs(result.expected_fidelity
                            - math.fsum(p * fid for p, fid in paths)) <= 1e-14, (n, lam0)
                 assert result.path_count == len(paths), (n, lam0)
+            assert entpur.path_count(n) == len(paths), n
+        assert entpur.path_count(193) == 169396  # quoted in the module docstring
 
     def test_leaves_no_reference_cycles(self):
         gc.collect()
@@ -252,6 +254,14 @@ class TestMonteCarlo:
         assert result.samples == 100
         assert result.seed == 9
         assert result.path_count == entpur.expected_fidelity_dp(5, 0.7).path_count
+
+    @pytest.mark.parametrize("args,expected", [
+        ((12, 0.9997966112061726, 100_000, 1915297984), (0.9999598057730906, 5.315408600977154e-10)),
+        ((29, 0.6, 100_000, 3), (0.7699415507730316, 5.581928905746076e-05)),
+    ])
+    def test_sample_stream_is_pinned(self, args, expected):
+        result = entpur.mc_simulate(*args)
+        assert (result.mc_estimate, result.mc_stderr) == expected
 
     def test_rejects_empty_sample(self):
         with pytest.raises(ValueError):

@@ -159,8 +159,8 @@ class TestAverageFidelity:
 
     def test_result_carries_consistent_parts(self):
         result = qubitpur.average_fidelity(5, 0.7)
-        recomputed = math.fsum(result.distribution.probs[m] * result.per_m_fidelity[m]
-                               for m in result.distribution.probs)
+        recomputed = math.fsum(p * qubitpur.single_qubit_fidelity(m, 0.7)
+                               for m, p in result.distribution.probs.items())
         assert result.expected_fidelity == pytest.approx(recomputed, abs=1e-15)
 
     def test_domain_errors(self):
