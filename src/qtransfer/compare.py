@@ -137,40 +137,35 @@ def _find_crossing(gap, prescan_gaps: np.ndarray, n: int,
     """Unique root of `gap` on [1/4, 1] and the width of its final bracket.
 
     `prescan_gaps` holds the values of `gap` on `_PRESCAN_LAMBDAS`, from one
-    grid evaluation. Its one sign change is refined with single-point `gap`
-    values by Illinois steps (Dowell and Jarratt 1971: regula falsi that
-    halves the secant weight of an end kept twice in a row), until no
-    float lies strictly inside the bracket.
+    grid evaluation, which equals the single-point `gap` bit for bit, so
+    its ends start the refinement. Its one sign change is refined with
+    single-point `gap` values by Illinois steps (Dowell and Jarratt 1971:
+    regula falsi that halves the secant weight of an end kept twice in a
+    row), until no float lies strictly inside the bracket.
     As in ITP (Oliveira and Takahashi 2020), each step is pulled toward
     the midpoint just enough to keep the bracket on bisection's schedule,
     so no root takes more than `_SPARE_STEPS` steps beyond bisection's.
-    `gap` changes sign across every bracket; prescan ends whose scalar
-    gaps do not raise ArithmeticError. The root returned is the end of
-    the final bracket with the smaller |gap|.
+    The root returned is the end of the final bracket with the smaller
+    |gap|.
     """
-    xs = _PRESCAN_LAMBDAS
+    xs = _PRESCAN_LAMBDAS.tolist()
     gs = prescan_gaps.tolist()
-    brackets = []
+    brackets = []  # index pairs of prescan points, equal where the gap is zero
     for i in range(len(xs) - 1):
         if gs[i] == 0.0:
-            brackets.append((float(xs[i]), float(xs[i])))
+            brackets.append((i, i))
         elif (gs[i] < 0.0) != (gs[i + 1] < 0.0) and gs[i + 1] != 0.0:
-            brackets.append((float(xs[i]), float(xs[i + 1])))
+            brackets.append((i, i + 1))
     if gs[-1] == 0.0:
-        brackets.append((float(xs[-1]), float(xs[-1])))
+        brackets.append((len(xs) - 1,) * 2)
     if not brackets:
         return None, 0.0
     if len(brackets) > 1:
-        raise AmbiguousCrossingError(n, method, brackets)
-    lo, hi = brackets[0]
+        raise AmbiguousCrossingError(n, method, [(xs[i], xs[k]) for i, k in brackets])
+    (i, k), = brackets
+    lo, hi, g_lo, g_hi = xs[i], xs[k], gs[i], gs[k]
     if lo == hi:
         return lo, 0.0
-    g_lo, g_hi = gap(lo), gap(hi)
-    if g_lo == 0.0 or g_hi == 0.0:
-        return (lo if g_lo == 0.0 else hi), 0.0
-    if (g_lo < 0.0) == (g_hi < 0.0):
-        raise ArithmeticError(f"the {method} gap to the estimation baseline does not change "
-                              f"sign across its prescan bracket ({lo}, {hi}) for N={n}")
     w_lo, w_hi = g_lo, g_hi  # secant weights of the ends
     moved = None  # the end the last step replaced
     # Bisection narrows the bracket to `unit` in `budget - _SPARE_STEPS`

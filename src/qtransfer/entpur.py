@@ -68,31 +68,38 @@ def purified_bell_diagonal(lam: float) -> tuple[BellDiagonal, float]:
 def _binomial_row(pairs: int, p: float) -> list[float]:
     """Chances that j = 0..pairs of `pairs` attempts pass, each passing with probability p.
 
-    Evaluated in log space, so no intermediate factor overflows or
-    underflows a float however many pairs there are: each coefficient is an
-    exact integer, carried along the row, and only its logarithm is rounded.
+    The row is 1 at its mode and walks out by the ratio r_j = row[j-1] /
+    row[j] = j q / ((pairs - j + 1) p), q = 1 - p; it is then divided by its
+    total, summed left to right. Each step is one correctly rounded IEEE
+    operation and no term exceeds 1, so nothing overflows at any supply.
     """
-    if p == 1.0:
-        return [0.0] * pairs + [1.0]
-    log_p, log_q = math.log(p), math.log(1.0 - p)
-    row = []
-    coeff = 1
-    for j in range(pairs + 1):
-        row.append(math.exp(math.log(coeff) + j * log_p + (pairs - j) * log_q))
-        coeff = coeff * (pairs - j) // (j + 1)
-    return row
+    q = 1.0 - p
+    mode = min(int((pairs + 1) * p), pairs)
+    row = [1.0]
+    for j in range(mode, 0, -1):
+        row.append(row[-1] * (j * q / ((pairs - j + 1) * p)))
+    row.reverse()
+    for j in range(mode + 1, pairs + 1):
+        row.append(row[-1] / (j * q / ((pairs - j + 1) * p)))
+    total = 0.0
+    for w in row:
+        total += w
+    return [w / total for w in row]
 
 
 def _binomial_rows(pairs: int, p: np.ndarray) -> np.ndarray:
-    """`_binomial_row` for every pass probability in p at once, one column each."""
-    sure = p == 1.0
+    """`_binomial_row` for every pass probability in p at once, one column each, bit for bit.
+
+    Ratios masked to 1 on the other side of each column's mode, j > (pairs
+    + 1) p, feed one accumulated quotient up and one product down; numpy
+    accumulates strictly in order, as the scalar loops do.
+    """
     j = np.arange(pairs + 1.0)[:, None]
-    log_c = np.array([math.log(math.comb(pairs, k)) for k in range(pairs + 1)])[:, None]
-    log_p, log_q = np.log(p), np.log(np.where(sure, 1.0, 1.0 - p))
-    rows = np.exp(log_c + j * log_p + (pairs - j) * log_q)
-    rows[:, sure] = 0.0
-    rows[-1, sure] = 1.0
-    return rows
+    ratios = j * (1.0 - p) / ((pairs - j + 1.0) * p)
+    above = j > (pairs + 1) * p
+    rows = np.divide.accumulate(np.where(above, ratios, 1.0), axis=0)
+    rows[-2::-1] *= np.multiply.accumulate(np.where(above, 1.0, ratios)[:0:-1], axis=0)
+    return rows / np.add.accumulate(rows, axis=0)[-1]
 
 
 def outcome_probabilities(pairs: int, lam: float) -> list[float]:
@@ -264,10 +271,8 @@ def expected_fidelity_grid(n_ebits: int, lam0s) -> np.ndarray:
     """`expected_fidelity_dp(n_ebits, lam).expected_fidelity` for every lam in lam0s, in one pass.
 
     The same programme with every quantity an array over lam0s, so a whole
-    grid costs about as much as a few single points. Agrees with the
-    single-point evaluator to within an ulp or two, because numpy's exp and
-    log may round differently from the math module's; the sums are
-    correctly rounded in both.
+    grid costs about as much as a few single points. Each column takes the
+    single-point evaluator's steps in its order, so the two are equal.
     """
     p_seq, ends = _run_sequences(n_ebits, np.array(lam0s, dtype=float, ndmin=1))
     return _walk_state(n_ebits, 0, -1, p_seq, ends, {}, _binomial_rows, qmath.fsum_columns)

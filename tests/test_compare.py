@@ -1,5 +1,3 @@
-from types import SimpleNamespace
-
 import mpmath
 import numpy as np
 import pytest
@@ -147,6 +145,7 @@ class TestCrossingPoints:
         assert all(0.4 < b / a < 0.6 for a, b in zip(gaps, gaps[1:]))
 
     def test_prescan_signs_match_single_point_evaluators(self):
+        # The root finder starts from the prescan's gaps as single-point values.
         lambdas = np.linspace(0.25, 1.0, 64)
         for n in range(1, 41):
             baseline = (n + 1) / (n + 2)
@@ -158,8 +157,7 @@ class TestCrossingPoints:
                 "qubit_pur": [qubitpur.average_fidelity(n, float(lam)).expected_fidelity
                               for lam in lambdas]}
             for method, values in grids.items():
-                assert list(np.sign(values - baseline)) == list(
-                    np.sign(np.array(scalars[method]) - baseline)), (n, method)
+                assert values.tolist() == scalars[method], (n, method)
 
     def test_rejects_empty_supply(self):
         with pytest.raises(ValueError):
@@ -232,20 +230,12 @@ class TestCrossingAccuracyAndWork:
                 while lo < 0.5 * (lo + hi) < hi:
                     lo, bisection_steps = 0.5 * (lo + hi), bisection_steps + 1
                 per_root.append(calls.count(name))
-                assert per_root[-1] <= 2 + bisection_steps, (n, name)
-        assert sum(per_root) / len(per_root) <= 12.0
+                assert per_root[-1] <= bisection_steps, (n, name)
+        assert sum(per_root) / len(per_root) <= 10.0
 
     def test_tolerance_reports_the_final_bracket(self):
         result = compare.crossing_points(9)
         assert result.tolerance <= 2.0 * np.spacing(result.lambda_1)
-
-
-    def test_prescan_bracket_without_a_scalar_sign_change_is_an_error(self, monkeypatch):
-        # The root finder must not iterate on a bracket the scalar gap does not confirm.
-        monkeypatch.setattr(qubitpur, "average_fidelity",
-                            lambda n, lam: SimpleNamespace(expected_fidelity=1.0))
-        with pytest.raises(ArithmeticError, match="prescan bracket"):
-            compare.crossing_points(9)
 
 
 class TestRecommend:

@@ -1,11 +1,14 @@
 import gc
 import math
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
 from qtransfer import channel, entpur
 from qtransfer.entpur import EntPurResult
+from test_compare import _mp_ent_pur
 
 
 class TestStepClosedForms:
@@ -60,22 +63,37 @@ class TestOutcomeProbability:
         expected = 4 * p**3 * (1 - p)
         assert entpur.outcome_probabilities(4, 0.8)[3] == pytest.approx(expected, abs=1e-15)
 
-    def test_row_equals_per_term_log_space_expression(self):
-        # Each entry is exp(log C(pairs, j) + j log p + (pairs - j) log(1 - p)),
-        # bit for bit, with the coefficient carried along the row.
+    def test_row_is_accurate_and_normalized(self):
+        # Against the exact binomial terms of the float p: every entry above
+        # 1e-300 within 16 ulps, and the row sums to 1 within 4 ulps of 1.
         for lam in (0.25, 0.5, 0.8, 0.999):
-            p = entpur.pass_probability(lam)
+            p = Fraction(entpur.pass_probability(lam))
             for pairs in range(1, 61):
-                expected = [math.exp(math.log(math.comb(pairs, j)) + j * math.log(p)
-                                     + (pairs - j) * math.log(1.0 - p))
-                            for j in range(pairs + 1)]
-                assert entpur.outcome_probabilities(pairs, lam) == expected, (pairs, lam)
+                row = entpur.outcome_probabilities(pairs, lam)
+                for j, weight in enumerate(row):
+                    exact = math.comb(pairs, j) * p ** j * (1 - p) ** (pairs - j)
+                    if exact > Fraction(1, 10 ** 300):
+                        error = abs(Fraction(weight) - exact) / Fraction(math.ulp(float(exact)))
+                        assert error <= 16, (pairs, lam, j)
+                assert abs(math.fsum(row) - 1.0) <= 4 * math.ulp(1.0), (pairs, lam)
 
     def test_large_supply_is_finite_and_normalized(self):
-        probs = entpur.outcome_probabilities(3000, 0.8)
-        assert len(probs) == 3001
-        assert all(math.isfinite(p) and p >= 0.0 for p in probs)
-        assert abs(math.fsum(probs) - 1.0) < 1e-12
+        for pairs in (3000, 20_000):
+            probs = entpur.outcome_probabilities(pairs, 0.8)
+            assert len(probs) == pairs + 1
+            assert all(math.isfinite(p) and p >= 0.0 for p in probs)
+            assert abs(math.fsum(probs) - 1.0) < 1e-12
+
+    def test_grid_rows_equal_the_scalar_row(self):
+        # One recurrence, two renderings: each column takes the scalar's steps,
+        # also alone, where numpy would sum a single column pairwise.
+        p = np.array([entpur.pass_probability(lam) for lam in (0.25, 0.5, 0.8, 0.999, 1.0)])
+        for pairs in [*range(1, 61), 3000, 20_000]:
+            rows = entpur._binomial_rows(pairs, p)
+            for i, p_pass in enumerate(p.tolist()):
+                expected = entpur._binomial_row(pairs, p_pass)
+                assert rows[:, i].tolist() == expected, (pairs, p_pass)
+                assert entpur._binomial_rows(pairs, p[i:i + 1])[:, 0].tolist() == expected
 
     def test_rejects_bad_counts(self):
         with pytest.raises(ValueError):
@@ -144,6 +162,18 @@ class TestRunExpectation:
             assert entpur.path_count(n) == len(paths), n
         assert entpur.path_count(193) == 169396  # quoted in the module docstring
 
+    # Two points whose 12-digit printout an error of an ulp or two flips, the
+    # worst of 40 random points at N <= 300 (3.8 ulps), and three points
+    # where rows summing to 1 only within N ulps put the value 5 to 10 ulps off.
+    @pytest.mark.parametrize("n,lam0", [(12, 0.7418032786885246), (64, 0.72560975609756095),
+                                        (95, 0.9573), (255, 0.6491), (300, 0.6718),
+                                        (300, 0.9334)])
+    def test_within_four_ulps_of_multiprecision_oracle(self, n, lam0):
+        value = entpur.expected_fidelity_dp(n, lam0).expected_fidelity
+        with mpmath.workdps(40):
+            exact = _mp_ent_pur(n, mpmath.mpf(lam0))
+            assert abs(value - exact) <= 4 * math.ulp(value), (n, lam0)
+
     def test_leaves_no_reference_cycles(self):
         gc.collect()
         gc.disable()
@@ -194,28 +224,26 @@ SWEEP_GRID = np.linspace(0.25, 1.0, 42)[1:-1]
 class TestExpectedFidelityGrid:
     @pytest.mark.parametrize("grid", [PRESCAN_GRID, SWEEP_GRID], ids=["prescan", "sweep"])
     def test_agrees_with_single_point_evaluator(self, grid):
-        # numpy's exp and log may round differently from the math module's.
+        # Every column takes the single-point evaluator's steps in its order.
         for n in range(1, 61):
             values = entpur.expected_fidelity_grid(n, grid)
             for lam, value in zip(grid, values):
                 expected = entpur.expected_fidelity_dp(n, float(lam)).expected_fidelity
-                assert abs(value - expected) <= 4.4e-16, (n, lam)
+                assert value == expected, (n, lam)
 
     def test_exact_at_anchor_points(self):
         # At 1/4 every branch ends at fidelity 1/2, at 1 the binomial row is
         # exact, and at 1/2 an odd run always keeps a stored pair, which the
         # anchoring holds on the fixed point 2/3. An even run at 1/2 can end
-        # with no pair, so its value rests on exp and log like any other.
+        # with no pair, so its value carries rounding like any other.
         for n in range(1, 61):
             values = entpur.expected_fidelity_grid(n, [0.25, 0.5, 1.0]).tolist()
             expected = [entpur.expected_fidelity_dp(n, lam).expected_fidelity
                         for lam in (0.25, 0.5, 1.0)]
-            assert values[0] == expected[0] == 0.5, n
-            assert values[2] == expected[2] == 1.0, n
+            assert values == expected, n
+            assert values[0] == 0.5 and values[2] == 1.0, n
             if n % 2 == 1:
-                assert values[1] == expected[1] == 2.0 / 3.0, n
-            else:
-                assert abs(values[1] - expected[1]) <= 4.4e-16, n
+                assert values[1] == 2.0 / 3.0, n
 
     @pytest.mark.parametrize("bad", [math.nan, 0.2, 1.1])
     def test_domain_errors(self, bad):

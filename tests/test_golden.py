@@ -88,6 +88,13 @@ def test_crossings_table_output(capsys):
     assert capsys.readouterr().out == CROSSINGS_TO_20
 
 
+def test_sweep_row_matches_multiprecision_value(capsys):
+    # The 40-digit value is 0.85316853914350014 (test_compare's _mp_ent_pur):
+    # 1.4e-16, about an ulp, above a 12-digit rounding boundary.
+    assert main(["sweep", "--methods", "ent_pur", "--n", "12", "--grid", "60"]) == 0
+    assert "ent_pur,12,0.741803278689,0.853168539144\n" in capsys.readouterr().out
+
+
 def test_validate_check_layout(capsys):
     assert main(["validate", "--seed", "7", "--mc-samples", "20000"]) == 0
     checks = json.loads(capsys.readouterr().out)["checks"]

@@ -7,6 +7,7 @@ code alone.
 
 import contextlib
 import io
+import math
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -60,6 +61,18 @@ def test_crossings_are_sign_changes_of_the_scalar_gap(n):
                             lambda n, lam: qubitpur.average_fidelity(n, lam).expected_fidelity)):
         if root is not None:
             assert fidelity(n, root - 1e-12) - baseline <= 0.0 <= fidelity(n, root + 1e-12) - baseline
+
+
+@settings(PROPERTY_SETTINGS, max_examples=40)
+@given(n=st.integers(min_value=1, max_value=61),
+       lam0s=st.lists(strategy_lambdas, min_size=2, max_size=20))
+def test_grid_fidelities_do_not_decrease_with_channel_quality(n, lam0s):
+    # The crossing prescan takes one sign change per strategy to be the only root.
+    lam0s = sorted(lam0s)
+    for values in (entpur.expected_fidelity_grid(n, lam0s),
+                   qubitpur.average_fidelity_grid(n, lam0s)):
+        for lower, higher in zip(values.tolist(), values.tolist()[1:]):
+            assert higher >= lower - 4 * math.ulp(lower), (n, lam0s)
 
 
 # Sizes stay small so that every command line runs in milliseconds.
