@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import entpur, estimate, qubitpur
+from . import entpur, estimate, qmath, qubitpur
 
 METHOD_NAMES = ("ent_pur", "estimation", "qubit_pur")
 
@@ -89,8 +89,6 @@ def _odd_supply(n: int) -> int:
 
 def effective_entpur_fidelity(n: int, lam0: float) -> float:
     """Purification-strategy fidelity with the discard-to-odd rule applied."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
     return entpur.expected_fidelity_dp(_odd_supply(n), lam0).expected_fidelity
 
 
@@ -117,11 +115,9 @@ def sweep(methods, n_values, lambda_grid) -> list[SweepRow]:
     unknown = [m for m in methods if m not in METHOD_NAMES]
     if unknown:
         raise ValueError(f"unknown methods {unknown}; expected a subset of {METHOD_NAMES}")
-    n_values = sorted({int(n) for n in n_values})
+    n_values = sorted({qmath.require_supply(n) for n in n_values})
     if not n_values:
         raise ValueError("at least one n value is required")
-    if n_values[0] < 1:
-        raise ValueError("n values must be positive")
     lambdas = sorted({float(l) for l in lambda_grid})
     if not lambdas:
         raise ValueError("at least one lambda0 value is required")
@@ -146,7 +142,8 @@ def _find_crossing(gap, prescan_gaps: np.ndarray, n: int,
     the midpoint just enough to keep the bracket on bisection's schedule,
     so no root takes more than `_SPARE_STEPS` steps beyond bisection's.
     The root returned is the end of the final bracket with the smaller
-    |gap|.
+    |gap|. No sign change returns None: both gaps here go from negative at
+    1/4 to positive at 1 at every N, but a gap without fixed ends need not.
     """
     xs = _PRESCAN_LAMBDAS.tolist()
     gs = prescan_gaps.tolist()
@@ -205,8 +202,6 @@ def crossing_points(n: int) -> CrossingResult:
     an absent value. Each root is then refined to float resolution; the
     result's `tolerance` is the wider of the two final brackets.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
     baseline = estimate.estimation_fidelity(n).fidelity
     lambda_1, width_1 = _find_crossing(
         lambda lam: effective_entpur_fidelity(n, lam) - baseline,

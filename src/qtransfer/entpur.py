@@ -28,7 +28,7 @@ import numpy as np
 
 from . import qmath
 from .channel import LAMBDA_CRIT, single_shot_fidelity
-from .qmath import BellDiagonal, require_lambda
+from .qmath import BellDiagonal, require_lambda, require_supply
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 # One side rotates by +pi/2 about x, the other by -pi/2, before the CNOTs.
@@ -104,9 +104,7 @@ def _binomial_rows(pairs: int, p: np.ndarray) -> np.ndarray:
 
 def outcome_probabilities(pairs: int, lam: float) -> list[float]:
     """Binomial chances that j = 0..pairs of `pairs` simultaneous purification attempts survive."""
-    if pairs < 1:
-        raise ValueError("pairs must be at least 1")
-    return _binomial_row(pairs, pass_probability(lam))
+    return _binomial_row(require_supply(pairs), pass_probability(lam))
 
 
 def step_oracle(lam: float) -> tuple[BellDiagonal, float]:
@@ -159,8 +157,8 @@ class EntPurResult:
             raise ValueError("standard error must be nonnegative")
 
 
-def _run_sequences(n_ebits: int, lam0) -> tuple[list, list]:
-    """Check a run's arguments; return the pass probability and the end fidelity by round.
+def _run_sequences(n_ebits: int, lam0) -> tuple[int, list, list]:
+    """Check a run's arguments; return the int supply, pass probability and end fidelity by round.
 
     Entry r belongs to the pair after r kept purification rounds: its
     teleportation fidelity for every round the run can reach, its pass
@@ -168,13 +166,12 @@ def _run_sequences(n_ebits: int, lam0) -> tuple[list, list]:
     close with 1/2, the mixed output, read at index -1 when nothing was
     stored. lam0 may be an array, and then so is every other entry.
     """
-    if n_ebits < 1:
-        raise ValueError("the run needs at least one pair")
+    n_ebits = require_supply(n_ebits)
     require_lambda(lam0, LAMBDA_CRIT)
     lam_seq = [lam0]
     for _ in range(max(1, math.ceil(math.log2(max(n_ebits, 2)))) + 1):
         lam_seq.append(purify_lambda(lam_seq[-1]))
-    return ([pass_probability(lam) for lam in lam_seq[:-1]],
+    return (n_ebits, [pass_probability(lam) for lam in lam_seq[:-1]],
             [single_shot_fidelity(lam) for lam in lam_seq] + [0.5])
 
 
@@ -192,7 +189,7 @@ def enumerate_paths(n_ebits: int, lam0: float) -> list[tuple[float, float]]:
     The number of paths grows super-polynomially in n_ebits, so this is
     the small-N oracle for `expected_fidelity_dp`, not an evaluator.
     """
-    p_seq, ends = _run_sequences(n_ebits, lam0)
+    n_ebits, p_seq, ends = _run_sequences(n_ebits, lam0)
     paths: list[tuple[float, float]] = []
     pending = [(n_ebits, 0, -1, 1.0)]
     while pending:
@@ -216,8 +213,8 @@ def path_count(n_ebits: int) -> int:
     even count branches into every survivor count j = 0..c/2,
     P(c) = P(0) + ... + P(c/2). Prefix sums make that O(n_ebits).
     """
-    prefix = [1]  # prefix[c] = P(0) + ... + P(c)
-    paths = 1
+    n_ebits = require_supply(n_ebits)
+    prefix, paths = [1], 1  # prefix[c] = P(0) + ... + P(c), paths = P(c)
     for c in range(1, n_ebits + 1):
         if c % 2 == 0:
             paths = prefix[c // 2]
@@ -262,7 +259,7 @@ def expected_fidelity_dp(n_ebits: int, lam0: float) -> EntPurResult:
     `path_count` is the number of outcome paths that walk would list,
     from the lam0-free recurrence of `path_count`.
     """
-    p_seq, ends = _run_sequences(n_ebits, lam0)
+    n_ebits, p_seq, ends = _run_sequences(n_ebits, lam0)
     return EntPurResult(expected_fidelity=_walk_state(n_ebits, 0, -1, p_seq, ends, {}),
                         path_count=path_count(n_ebits))
 
@@ -274,7 +271,7 @@ def expected_fidelity_grid(n_ebits: int, lam0s) -> np.ndarray:
     grid costs about as much as a few single points. Each column takes the
     single-point evaluator's steps in its order, so the two are equal.
     """
-    p_seq, ends = _run_sequences(n_ebits, np.array(lam0s, dtype=float, ndmin=1))
+    n_ebits, p_seq, ends = _run_sequences(n_ebits, np.array(lam0s, dtype=float, ndmin=1))
     return _walk_state(n_ebits, 0, -1, p_seq, ends, {}, _binomial_rows, qmath.fsum_columns)
 
 
@@ -286,7 +283,7 @@ def mc_simulate(n_ebits: int, lam0: float, samples: int, seed: int) -> EntPurRes
     expectation alongside the sample mean, its standard error, and the
     seed; results are deterministic for a fixed (seed, samples).
     """
-    p_seq, ends = _run_sequences(n_ebits, lam0)
+    n_ebits, p_seq, ends = _run_sequences(n_ebits, lam0)
     if samples < 1:
         raise ValueError("samples must be at least 1")
     exact = expected_fidelity_dp(n_ebits, lam0)

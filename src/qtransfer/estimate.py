@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .qmath import require_supply
+
 
 @dataclass(frozen=True)
 class EstimationResult:
@@ -12,10 +14,6 @@ class EstimationResult:
     n: int
     fidelity: float
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be at least 1")
-
 
 def estimation_fidelity(n: int) -> EstimationResult:
     """Optimal estimate-and-prepare fidelity (n+1)/(n+2).
@@ -23,6 +21,5 @@ def estimation_fidelity(n: int) -> EstimationResult:
     Strictly increasing in n and independent of the channel quality, since
     no quantum channel is involved.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    n = require_supply(n)
     return EstimationResult(n=n, fidelity=(n + 1) / (n + 2))

@@ -3,13 +3,15 @@
 Conventions used by every module in this package: qubit 0 is the leftmost
 tensor factor, the computational basis of two qubits is ordered
 |00>, |01>, |10>, |11>, and all operators are dense complex matrices of
-dimension at most 256 (eight qubits).
+dimension at most 256 (eight qubits). `require_lambda` and `require_supply`
+check the two inputs of every strategy: channel quality and supply size.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,6 +104,19 @@ def require_lambda(lam: float | np.ndarray, low: float = 0.0) -> None:
             require_lambda(float(outside.flat[0]), low)
     elif not low <= lam <= 1.0:
         raise ValueError(f"lambda must lie in [{low:g}, 1], got {lam}")
+
+
+def require_supply(n) -> int:
+    """Return a supply of pairs or copies as an int; reject all but integers of at least 1.
+
+    A numpy integer becomes an int; a float, even 3.0, is rejected, not truncated.
+    """
+    # `int` first: the abstract-class test alone costs about 20 bare comparisons.
+    if type(n) is not int and isinstance(n, numbers.Integral):
+        n = int(n)
+    if type(n) is not int or n < 1:
+        raise ValueError(f"the supply must be a positive integer, got {n}")
+    return n
 
 
 def fsum_columns(rows) -> np.ndarray:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import channel, qmath
-from .qmath import BlochAngles, require_lambda
+from .qmath import BlochAngles, require_lambda, require_supply
 
 #: Probe state used by the oracles when no angles are given; the results
 #: are provably independent of this choice, which the tests verify.
@@ -36,8 +36,7 @@ def multiplicity(n: int, m: int) -> int:
     Equals C(n, (n-m)/2) - C(n, (n-m)/2 - 1), with the second term absent
     for m = n.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    n = require_supply(n)
     if m < 0 or m > n or (n - m) % 2:
         raise ValueError("block size must have the parity of n and lie in [0, n]")
     if m == n:
@@ -127,8 +126,7 @@ def outcome_distribution(n: int, lam0: float, *, sums: list | None = None) -> Ou
     caller that already holds the S_m of `_block_sums(n, ...)` for this
     lam0 passes them as `sums`, so they are not computed twice.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    n = require_supply(n)
     c1, c0 = channel.mixture_weights(lam0)
     if sums is None:
         sums = _block_sums(n, c1, c0)[0]
@@ -160,8 +158,7 @@ class QubitPurResult:
 
 def average_fidelity(n: int, lam0: float) -> QubitPurResult:
     """Average fidelity sum_m p_m f_m of the strategy for n copies, in O(n)."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    n = require_supply(n)
     require_lambda(lam0, channel.LAMBDA_CRIT)
     sums, fidelities = _block_sums(n, *channel.mixture_weights(lam0))
     dist = outcome_distribution(n, lam0, sums=sums)
@@ -178,8 +175,7 @@ def average_fidelity_grid(n: int, lam0s) -> np.ndarray:
     column's distribution must sum to 1 within 1e-12, as in
     `OutcomeDistribution`.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    n = require_supply(n)
     lam0s = np.array(lam0s, dtype=float, ndmin=1)
     require_lambda(lam0s, channel.LAMBDA_CRIT)
     c1, c0 = channel.mixture_weights(lam0s)

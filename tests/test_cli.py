@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from qtransfer import cli, entpur
+from qtransfer import cli, compare, entpur
 from qtransfer.cli import main
 
 
@@ -184,6 +184,13 @@ class TestCrossings:
                               lambda n, lam0s: 0.75 + 0.2 * np.sin(40.0 * np.asarray(lam0s)))
                 assert main(["crossings", "--n-max", "3"]) == 4
                 assert "N=1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fmt,expected", [("csv", "1,0.5,\n"), ("json", '"lambda2": null')])
+    def test_absent_crossing_is_rendered_empty(self, monkeypatch, capsys, fmt, expected):
+        monkeypatch.setattr(compare, "crossing_points",
+                            lambda n: compare.CrossingResult(n, 0.5, None, 0.0))
+        assert main(["crossings", "--n-max", "1", "--format", fmt]) == 0
+        assert expected in capsys.readouterr().out
 
     def test_missing_n_max_is_an_input_error(self, capsys):
         assert main(["crossings"]) == 2

@@ -4,43 +4,7 @@ import pytest
 
 from qtransfer import compare, entpur, qubitpur
 from qtransfer.compare import AmbiguousCrossingError, CrossingResult
-from test_qubitpur import _mp_qubit_pur
-
-
-def _mp_ent_pur(n, lam):
-    """Expected terminal fidelity of the run on n pairs, in mpmath at the working precision.
-
-    A memoized DP over the walk state (pair count, round, round of the
-    stored pair): an odd count stores a pair, an empty count falls back on
-    the stored pair (or on 1/2), and j survivors of count/2 attempts move
-    to (j, round + 1, stored) with binomial weight.
-    """
-    lams = [lam]
-
-    def lam_at(rnd):
-        while len(lams) <= rnd:
-            x = lams[-1]
-            lams.append((10 * x * x - 2 * x + 1) / (8 * x * x - 4 * x + 5))
-        return lams[rnd]
-
-    memo = {}
-
-    def value(count, rnd, stored):
-        if count % 2:
-            count, stored = count - 1, rnd
-        fallback = (2 * lam_at(stored) + 1) / 3 if stored >= 0 else mpmath.mpf(1) / 2
-        if count == 0:
-            return fallback
-        if (count, rnd, stored) not in memo:
-            x = lam_at(rnd)
-            p, pairs = (8 * x * x - 4 * x + 5) / 9, count // 2
-            memo[count, rnd, stored] = mpmath.fsum(
-                mpmath.binomial(pairs, j) * p ** j * (1 - p) ** (pairs - j)
-                * (fallback if j == 0 else value(j, rnd + 1, stored))
-                for j in range(pairs + 1))
-        return memo[count, rnd, stored]
-
-    return value(n, 0, -1)
+from mp_oracles import mp_ent_pur, mp_qubit_pur
 
 
 class TestEffectiveFidelity:
@@ -159,6 +123,14 @@ class TestCrossingPoints:
             for method, values in grids.items():
                 assert values.tolist() == scalars[method], (n, method)
 
+    def test_every_supply_has_a_bracket(self):
+        # Both fidelities run from 1/2 to 1 over [1/4, 1], while the baseline
+        # lies strictly between, so gap(1/4) < 0 < gap(1) at every N and the
+        # prescan always sees a sign change.
+        for n in [*range(1, 101), 513]:
+            assert entpur.expected_fidelity_grid(n, [0.25, 1.0]).tolist() == [0.5, 1.0], n
+            assert qubitpur.average_fidelity_grid(n, [0.25, 1.0]).tolist() == [0.5, 1.0], n
+
     def test_rejects_empty_supply(self):
         with pytest.raises(ValueError):
             compare.crossing_points(0)
@@ -197,8 +169,8 @@ class TestCrossingAccuracyAndWork:
             odd_n = n if n % 2 else n - 1
             with mpmath.workdps(30):
                 baseline = mpmath.mpf(n + 1) / (n + 2)
-                for name, fidelity, supply in (("lambda_1", _mp_ent_pur, odd_n),
-                                               ("lambda_2", _mp_qubit_pur, n)):
+                for name, fidelity, supply in (("lambda_1", mp_ent_pur, odd_n),
+                                               ("lambda_2", mp_qubit_pur, n)):
                     value = getattr(result, name)
                     root = mpmath.findroot(lambda x: fidelity(supply, x) - baseline,
                                            mpmath.mpf(value))

@@ -8,7 +8,7 @@ import pytest
 
 from qtransfer import channel, entpur
 from qtransfer.entpur import EntPurResult
-from test_compare import _mp_ent_pur
+from mp_oracles import mp_ent_pur
 
 
 class TestStepClosedForms:
@@ -171,7 +171,7 @@ class TestRunExpectation:
     def test_within_four_ulps_of_multiprecision_oracle(self, n, lam0):
         value = entpur.expected_fidelity_dp(n, lam0).expected_fidelity
         with mpmath.workdps(40):
-            exact = _mp_ent_pur(n, mpmath.mpf(lam0))
+            exact = mp_ent_pur(n, mpmath.mpf(lam0))
             assert abs(value - exact) <= 4 * math.ulp(value), (n, lam0)
 
     def test_leaves_no_reference_cycles(self):

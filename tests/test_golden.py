@@ -89,7 +89,7 @@ def test_crossings_table_output(capsys):
 
 
 def test_sweep_row_matches_multiprecision_value(capsys):
-    # The 40-digit value is 0.85316853914350014 (test_compare's _mp_ent_pur):
+    # The 40-digit value is 0.85316853914350014 (mp_oracles.mp_ent_pur):
     # 1.4e-16, about an ulp, above a 12-digit rounding boundary.
     assert main(["sweep", "--methods", "ent_pur", "--n", "12", "--grid", "60"]) == 0
     assert "ent_pur,12,0.741803278689,0.853168539144\n" in capsys.readouterr().out

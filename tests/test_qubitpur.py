@@ -1,12 +1,11 @@
-import functools
 import math
 
-import mpmath
 import numpy as np
 import pytest
 
 from qtransfer import channel, qubitpur
 from qtransfer.qmath import BlochAngles
+from mp_oracles import mp_average_fidelity, multiplicities
 
 
 class TestMixtureCoefficients:
@@ -34,6 +33,11 @@ class TestMultiplicity:
             total = sum(qubitpur.multiplicity(n, m) * (m + 1)
                         for m in range(n % 2, n + 1, 2))
             assert total == 2 ** n
+
+    def test_matches_the_oracle_side_count(self):
+        for n in range(1, 41):
+            assert multiplicities(n) == {m: qubitpur.multiplicity(n, m)
+                                         for m in range(n % 2, n + 1, 2)}, n
 
     def test_rejects_bad_block_sizes(self):
         with pytest.raises(ValueError):
@@ -145,7 +149,7 @@ class TestAverageFidelity:
     def test_large_supply_matches_multiprecision_oracle(self, n):
         for lam0 in (0.2500001, 0.3, 0.625, 0.8, 0.999):
             value = qubitpur.average_fidelity(n, lam0).expected_fidelity
-            assert abs(value - _mp_average_fidelity(n, lam0)) <= 1e-12, (n, lam0)
+            assert abs(value - mp_average_fidelity(n, lam0)) <= 1e-12, (n, lam0)
 
     def test_perfect_channel_keeps_every_copy(self):
         result = qubitpur.average_fidelity(4096, 1.0)
@@ -195,39 +199,6 @@ class TestAverageFidelityGrid:
             qubitpur.average_fidelity_grid(5, [0.5, bad])
         with pytest.raises(ValueError):
             qubitpur.average_fidelity_grid(0, [0.5])
-
-
-@functools.cache
-def _multiplicities(n):
-    return {m: qubitpur.multiplicity(n, m) for m in range(n % 2, n + 1, 2)}
-
-
-def _mp_average_fidelity(n, lam0, digits=50):
-    """`_mp_qubit_pur` at `digits` digits, rounded to a float."""
-    with mpmath.workdps(digits):
-        return float(_mp_qubit_pur(n, mpmath.mpf(lam0)))
-
-
-def _mp_qubit_pur(n, lam):
-    """sum_m p_m f_m from the ratio forms of the closed forms, in mpmath at the working precision.
-
-    S_m = (c1^(m+1) - c0^(m+1))/(c1 - c0), p_m = multiplicity(n, m) (c0 c1)^k S_m
-    and f_m = (m c1^(m+1) - c1 c0 S_(m-1)) / ((c1 - c0) m S_m); needs lam > 1/4.
-    """
-    c1, c0 = (1 + 2 * lam) / 3, 2 * (1 - lam) / 3
-    pow1, pow0 = [mpmath.mpf(1)], [mpmath.mpf(1)]
-    for _ in range(n + 1):
-        pow1.append(pow1[-1] * c1)
-        pow0.append(pow0[-1] * c0)
-    geometric = [(pow1[m + 1] - pow0[m + 1]) / (c1 - c0) for m in range(n + 1)]
-    total = mpmath.mpf(0)
-    for m, mult in _multiplicities(n).items():
-        k = (n - m) // 2
-        prob = mult * pow0[k] * pow1[k] * geometric[m]
-        fid = (mpmath.mpf(0.5) if m == 0 else
-               (m * pow1[m + 1] - c1 * c0 * geometric[m - 1]) / ((c1 - c0) * m * geometric[m]))
-        total += prob * fid
-    return total
 
 
 class TestSpinProjectorOracle:
