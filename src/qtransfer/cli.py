@@ -174,27 +174,25 @@ _HANDLERS = {
 }
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--precision", type=int, default=12,
-                        help="significant digits for printed numbers (6..17)")
-    parser.add_argument("--format", choices=("csv", "json"), default="csv", dest="format",
-                        help="table output format")
-    parser.add_argument("-o", "--output", default=None, dest="output",
-                        help="write the report to this file instead of standard output")
-    parser.add_argument("--seed", type=int, default=0, help="seed for every random draw")
-
-
 def build_parser() -> argparse.ArgumentParser:
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--precision", type=int, default=12,
+                        help="significant digits for printed numbers (6..17)")
+    common.add_argument("--format", choices=("csv", "json"), default="csv", dest="format",
+                        help="table output format")
+    common.add_argument("-o", "--output", default=None, dest="output",
+                        help="write the report to this file instead of standard output")
+    common.add_argument("--seed", type=int, default=0, help="seed for every random draw")
+
     parser = argparse.ArgumentParser(prog="qtransfer",
                                      description="Qubit transfer strategies over a noisy "
                                                  "entanglement channel.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_single = sub.add_parser("single", help="single-run teleportation fidelity")
+    p_single = sub.add_parser("single", parents=[common], help="single-run teleportation fidelity")
     p_single.add_argument("--lambda0", type=float, required=True)
-    _add_common(p_single)
 
-    p_strategy = sub.add_parser("strategy", help="evaluate one strategy")
+    p_strategy = sub.add_parser("strategy", parents=[common], help="evaluate one strategy")
     p_strategy.add_argument("method", choices=("ent", "qubit", "est"))
     p_strategy.add_argument("--n", type=int, required=True)
     p_strategy.add_argument("--lambda0", type=float, default=None)
@@ -202,9 +200,8 @@ def build_parser() -> argparse.ArgumentParser:
                             help="also run a Monte Carlo cross-check (ent only)")
     p_strategy.add_argument("--distribution", action="store_true",
                             help="include the block-size distribution (qubit only)")
-    _add_common(p_strategy)
 
-    p_sweep = sub.add_parser("sweep", help="fidelity table over a lambda0 grid")
+    p_sweep = sub.add_parser("sweep", parents=[common], help="fidelity table over a lambda0 grid")
     p_sweep.add_argument("--methods", default="all",
                          help="'all' or a comma-separated subset of "
                               "ent_pur,qubit_pur,estimation")
@@ -212,15 +209,14 @@ def build_parser() -> argparse.ArgumentParser:
                          help="one integer or a comma-separated list")
     p_sweep.add_argument("--grid", type=int, default=50, dest="grid",
                          help="number of lambda0 points strictly inside (1/4, 1)")
-    _add_common(p_sweep)
 
-    p_cross = sub.add_parser("crossings", help="break-even points versus estimation")
+    p_cross = sub.add_parser("crossings", parents=[common],
+                             help="break-even points versus estimation")
     p_cross.add_argument("--n-max", type=int, required=True, dest="n_max")
-    _add_common(p_cross)
 
-    p_validate = sub.add_parser("validate", help="run the oracle cross-check suite")
+    p_validate = sub.add_parser("validate", parents=[common],
+                                help="run the oracle cross-check suite")
     p_validate.add_argument("--mc-samples", type=int, default=None, dest="mc_samples")
-    _add_common(p_validate)
 
     return parser
 

@@ -57,23 +57,18 @@ class SweepRow:
 
 @dataclass(frozen=True)
 class CrossingResult:
-    """Break-even channel qualities of both purification strategies against estimation.
-
-    `tolerance` is the width of the wider of the two final brackets, each
-    of which holds a sign change of its strategy's gap to the baseline.
-    """
+    """Break-even channel qualities of both purification strategies against estimation."""
 
     n: int
     lambda_1: float | None
     lambda_2: float | None
-    tolerance: float
 
     def __post_init__(self):
         for value in (self.lambda_1, self.lambda_2):
             if value is not None and not 0.25 < value < 1.0:
                 raise ValueError("crossing values must lie in (1/4, 1)")
         if (self.n > 2 and self.lambda_1 is not None and self.lambda_2 is not None
-                and self.lambda_2 > self.lambda_1 + 2.0 * self.tolerance):
+                and self.lambda_2 > self.lambda_1):
             raise ValueError("the teleport-then-purify crossing cannot exceed the "
                              "channel-purification crossing")
 
@@ -121,16 +116,15 @@ def sweep(methods, n_values, lambda_grid) -> list[SweepRow]:
     lambdas = sorted({float(l) for l in lambda_grid})
     if not lambdas:
         raise ValueError("at least one lambda0 value is required")
-    if lambdas[0] <= 0.25 or lambdas[-1] >= 1.0:
+    if not all(0.25 < lam < 1.0 for lam in lambdas):
         raise ValueError("lambda0 grid values must lie strictly inside (1/4, 1)")
     return [SweepRow(method=m, n=n, lambda0=lam, fidelity=fidelity)
             for m in methods for n in n_values
             for lam, fidelity in zip(lambdas, _evaluate_grid(m, n, lambdas))]
 
 
-def _find_crossing(gap, prescan_gaps: np.ndarray, n: int,
-                   method: str) -> tuple[float | None, float]:
-    """Unique root of `gap` on [1/4, 1] and the width of its final bracket.
+def _find_crossing(gap, prescan_gaps: np.ndarray, n: int, method: str) -> float | None:
+    """Unique root of `gap` on [1/4, 1].
 
     `prescan_gaps` holds the values of `gap` on `_PRESCAN_LAMBDAS`, from one
     grid evaluation, which equals the single-point `gap` bit for bit, so
@@ -156,13 +150,13 @@ def _find_crossing(gap, prescan_gaps: np.ndarray, n: int,
     if gs[-1] == 0.0:
         brackets.append((len(xs) - 1,) * 2)
     if not brackets:
-        return None, 0.0
+        return None
     if len(brackets) > 1:
         raise AmbiguousCrossingError(n, method, [(xs[i], xs[k]) for i, k in brackets])
     (i, k), = brackets
     lo, hi, g_lo, g_hi = xs[i], xs[k], gs[i], gs[k]
     if lo == hi:
-        return lo, 0.0
+        return lo
     w_lo, w_hi = g_lo, g_hi  # secant weights of the ends
     moved = None  # the end the last step replaced
     # Bisection narrows the bracket to `unit` in `budget - _SPARE_STEPS`
@@ -178,7 +172,7 @@ def _find_crossing(gap, prescan_gaps: np.ndarray, n: int,
             x = mid
         g = gap(x)
         if g == 0.0:
-            return x, 0.0
+            return x
         if (g < 0.0) == (g_lo < 0.0):
             lo, g_lo, w_lo = x, g, g
             if moved == "lo":
@@ -189,7 +183,7 @@ def _find_crossing(gap, prescan_gaps: np.ndarray, n: int,
             if moved == "hi":
                 w_lo *= 0.5
             moved = "hi"
-    return (lo if abs(g_lo) <= abs(g_hi) else hi), hi - lo
+    return lo if abs(g_lo) <= abs(g_hi) else hi
 
 
 def crossing_points(n: int) -> CrossingResult:
@@ -199,20 +193,19 @@ def crossing_points(n: int) -> CrossingResult:
     (with the discard-to-odd rule), lambda_2 that of teleport-then-purify.
     A 64-point prescan over [1/4, 1] must see exactly one sign change per
     strategy; more than one raises AmbiguousCrossingError, and none yields
-    an absent value. Each root is then refined to float resolution; the
-    result's `tolerance` is the wider of the two final brackets.
+    an absent value. Each root is then refined to float resolution: no
+    float lies strictly between it and the other end of its final bracket.
     """
     baseline = estimate.estimation_fidelity(n).fidelity
-    lambda_1, width_1 = _find_crossing(
+    lambda_1 = _find_crossing(
         lambda lam: effective_entpur_fidelity(n, lam) - baseline,
         entpur.expected_fidelity_grid(_odd_supply(n), _PRESCAN_LAMBDAS) - baseline,
         n, "ent_pur")
-    lambda_2, width_2 = _find_crossing(
+    lambda_2 = _find_crossing(
         lambda lam: qubitpur.average_fidelity(n, lam).expected_fidelity - baseline,
         qubitpur.average_fidelity_grid(n, _PRESCAN_LAMBDAS) - baseline,
         n, "qubit_pur")
-    return CrossingResult(n=n, lambda_1=lambda_1, lambda_2=lambda_2,
-                          tolerance=max(width_1, width_2))
+    return CrossingResult(n=n, lambda_1=lambda_1, lambda_2=lambda_2)
 
 
 def recommend(n: int, lam0: float) -> str:

@@ -47,8 +47,9 @@ def pass_probability(lam: float) -> float:
 def purify_lambda(lam: float) -> float:
     """Werner parameter (10*lam**2 - 2*lam + 1)/(8*lam**2 - 4*lam + 5) after one kept step.
 
-    Fixed points at 1/2 and 1; strictly improving in between, strictly
-    degrading below 1/2.
+    Fixed points at 1/4, 1/2 and 1: the map improves lam on [0, 1/4) and on
+    (1/2, 1) and degrades it on (1/4, 1/2). So a run at lam0 = 1/4 keeps
+    lam = 1/4, a maximally mixed pair, at every step and ends at exactly 1/2.
     """
     require_lambda(lam)
     return (10.0 * lam * lam - 2.0 * lam + 1.0) / (8.0 * lam * lam - 4.0 * lam + 5.0)
@@ -116,7 +117,6 @@ def step_oracle(lam: float) -> tuple[BellDiagonal, float]:
     basis, and keeps the coinciding outcomes. Returns the Bell weights of
     the surviving pair and the total coincidence probability.
     """
-    require_lambda(lam)
     werner = qmath.werner_density(lam)
     rho = qmath.tensor(werner, werner)
     for q in (0, 2):

@@ -28,6 +28,7 @@ from .qmath import BlochAngles, require_lambda, require_supply
 DEFAULT_PROBE_ANGLES = BlochAngles(theta=1.2, phi=2.2)
 
 _SPIN_GROUP_RTOL = 1e-8
+_QUADRATURE_NODES = 64
 
 
 def multiplicity(n: int, m: int) -> int:
@@ -239,39 +240,39 @@ def spin_projector_oracle(n: int, lam0: float, angles: BlochAngles | None = None
     return OutcomeDistribution(n=n, lambda0=lam0, probs=probs)
 
 
-def reduced_state_quadrature_oracle(m: int, lam0: float, nodes: int = 64,
+def reduced_state_quadrature_oracle(m: int, lam0: float,
                                     angles: BlochAngles | None = None) -> float:
     """Per-block fidelity from direct spherical quadrature of the block state.
 
     The size-m block is an average over the sphere of m-fold products of
     the unnormalized superposition sqrt(c1) cos(t/2)|psi> +
     sqrt(c0) sin(t/2) e^{i p}|psi_bar>. The integral is evaluated with
-    Gauss-Legendre nodes in cos(t) crossed with a uniform grid in p (the
-    integrand is a low-degree trigonometric polynomial in p, so the
-    uniform rule is exact well below the default node count). The block
-    state is then traced down to one copy and compared with |psi>.
+    `_QUADRATURE_NODES` Gauss-Legendre nodes in cos(t) crossed with as many
+    uniform points in p (the integrand is a low-degree trigonometric
+    polynomial in p, so the uniform rule is exact well below that count).
+    The integral is divided by its own trace, S_m/(m+1), so nothing here
+    comes from the closed form's sums. The block state is then traced down
+    to one copy and compared with |psi>.
     """
     if not 1 <= m <= 4:
         raise ValueError("the quadrature oracle supports block sizes 1 to 4")
-    if nodes < 32:
-        raise ValueError("at least 32 quadrature nodes are required")
     c1, c0 = channel.mixture_weights(lam0)
     probe = angles if angles is not None else DEFAULT_PROBE_ANGLES
     psi = qmath.bloch_to_ket(probe)
     psi_bar = qmath.orthogonal_ket(probe)
 
-    x, w = np.polynomial.legendre.leggauss(nodes)
+    x, w = np.polynomial.legendre.leggauss(_QUADRATURE_NODES)
     half_angles = 0.5 * np.arccos(x)
-    azimuth = np.exp(2j * np.pi * np.arange(nodes) / nodes)
-    amp_psi = np.repeat(np.sqrt(c1) * np.cos(half_angles), nodes)
+    azimuth = np.exp(2j * np.pi * np.arange(_QUADRATURE_NODES) / _QUADRATURE_NODES)
+    amp_psi = np.repeat(np.sqrt(c1) * np.cos(half_angles), _QUADRATURE_NODES)
     amp_bar = (np.sqrt(c0) * np.sin(half_angles)[:, None] * azimuth[None, :]).reshape(-1)
     kets = amp_psi[None, :] * psi[:, None] + amp_bar[None, :] * psi_bar[:, None]
 
     block = np.ones((1, kets.shape[1]), dtype=complex)
     for _ in range(m):
         block = (block[:, None, :] * kets[None, :, :]).reshape(block.shape[0] * 2, -1)
-    weights = np.repeat(0.5 * w, nodes) / nodes
-    geometric_sum = math.ldexp(*_block_sums(m, c1, c0)[0][m])  # S_m
-    rho_block = (m + 1) / geometric_sum * ((block * weights[None, :]) @ block.conj().T)
+    weights = np.repeat(0.5 * w, _QUADRATURE_NODES) / _QUADRATURE_NODES
+    integral = (block * weights[None, :]) @ block.conj().T
+    rho_block = integral / np.real(np.trace(integral))
     reduced = qmath.partial_trace(rho_block, keep=[0])
     return qmath.fidelity_pure(psi, reduced)

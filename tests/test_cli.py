@@ -188,7 +188,7 @@ class TestCrossings:
     @pytest.mark.parametrize("fmt,expected", [("csv", "1,0.5,\n"), ("json", '"lambda2": null')])
     def test_absent_crossing_is_rendered_empty(self, monkeypatch, capsys, fmt, expected):
         monkeypatch.setattr(compare, "crossing_points",
-                            lambda n: compare.CrossingResult(n, 0.5, None, 0.0))
+                            lambda n: compare.CrossingResult(n, 0.5, None))
         assert main(["crossings", "--n-max", "1", "--format", fmt]) == 0
         assert expected in capsys.readouterr().out
 

@@ -1,8 +1,10 @@
+import math
+
 import mpmath
 import numpy as np
 import pytest
 
-from qtransfer import compare, entpur, qubitpur
+from qtransfer import compare, entpur, estimate, qubitpur
 from qtransfer.compare import AmbiguousCrossingError, CrossingResult
 from mp_oracles import mp_ent_pur, mp_qubit_pur
 
@@ -77,6 +79,10 @@ class TestSweep:
             compare.sweep(["qubit_pur"], [9], [0.25])
         with pytest.raises(ValueError):
             compare.sweep(["qubit_pur"], [9], [1.0])
+        # sorted() can leave a NaN anywhere in the grid, not only at its ends.
+        for grid in ([float("nan")], [0.5, float("nan")]):
+            with pytest.raises(ValueError, match="strictly inside"):
+                compare.sweep(["estimation"], [3], grid)
 
 
 class TestCrossingPoints:
@@ -137,9 +143,12 @@ class TestCrossingPoints:
 
     def test_result_invariant_enforced(self):
         with pytest.raises(ValueError):
-            CrossingResult(n=5, lambda_1=0.5, lambda_2=0.8, tolerance=1e-10)
+            CrossingResult(n=5, lambda_1=0.5, lambda_2=0.8)
         with pytest.raises(ValueError):
-            CrossingResult(n=5, lambda_1=1.2, lambda_2=None, tolerance=1e-10)
+            CrossingResult(n=5, lambda_1=0.6, lambda_2=math.nextafter(0.6, 1.0))
+        with pytest.raises(ValueError):
+            CrossingResult(n=5, lambda_1=1.2, lambda_2=None)
+        CrossingResult(n=2, lambda_1=0.6, lambda_2=0.7)
 
     def test_multiple_sign_changes_are_reported(self, monkeypatch):
         def oscillating(n, lam0s):
@@ -205,9 +214,18 @@ class TestCrossingAccuracyAndWork:
                 assert per_root[-1] <= bisection_steps, (n, name)
         assert sum(per_root) / len(per_root) <= 10.0
 
-    def test_tolerance_reports_the_final_bracket(self):
-        result = compare.crossing_points(9)
-        assert result.tolerance <= 2.0 * np.spacing(result.lambda_1)
+    def test_roots_are_resolved_to_a_float_neighbour(self):
+        for n in (3, 9, 40):
+            result = compare.crossing_points(n)
+            baseline = estimate.estimation_fidelity(n).fidelity
+            for root, gap in (
+                    (result.lambda_1,
+                     lambda lam: compare.effective_entpur_fidelity(n, lam) - baseline),
+                    (result.lambda_2,
+                     lambda lam: qubitpur.average_fidelity(n, lam).expected_fidelity - baseline)):
+                at_root = gap(root)
+                neighbours = (math.nextafter(root, 0.0), math.nextafter(root, 1.0))
+                assert any(at_root * gap(x) <= 0.0 for x in neighbours), (n, root)
 
 
 class TestRecommend:

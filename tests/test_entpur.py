@@ -20,14 +20,22 @@ class TestStepClosedForms:
         assert entpur.purify_lambda(0.7) == pytest.approx(4.5 / 6.12, abs=1e-15)
 
     def test_fixed_points(self):
+        assert entpur.purify_lambda(0.25) == 0.25  # 1.125 / 4.5
         assert abs(entpur.purify_lambda(0.5) - 0.5) < 1e-14
         assert abs(entpur.purify_lambda(1.0) - 1.0) < 1e-14
+        # A maximally mixed pair stays one, so every run at 1/4 ends at 1/2.
+        for n in range(1, 41):
+            assert entpur.expected_fidelity_dp(n, 0.25).expected_fidelity == 0.5, n
 
     def test_strict_gain_only_above_one_half(self):
+        # Within the protocol range [1/4, 1]; below 1/4 the map improves too.
         for lam in np.linspace(0.5, 1.0, 102)[1:-1]:
             assert entpur.purify_lambda(float(lam)) > lam
-        for lam in np.linspace(0.26, 0.5, 40)[:-1]:
+        for lam in np.linspace(0.25, 0.5, 40)[1:-1]:
             assert entpur.purify_lambda(float(lam)) < lam
+        for lam in np.linspace(0.0, 0.25, 40)[:-1]:
+            assert entpur.purify_lambda(float(lam)) > lam
+        assert entpur.purify_lambda(0.1) == pytest.approx(0.1923, abs=1e-4)
 
     def test_purified_weights_ideal_pair(self):
         bd, p_pass = entpur.purified_bell_diagonal(1.0)

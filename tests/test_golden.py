@@ -1,4 +1,4 @@
-"""Golden outputs: the README's command-line examples and the oracle suite's layout.
+"""Golden outputs: the README's examples and the oracle suite's layout.
 
 The determinism tests elsewhere compare two runs of the same code; these
 compare against fixed text, so a change that alters a printed digit,
@@ -6,6 +6,7 @@ reorders the checks or renames one fails here.
 """
 
 import json
+import re
 import shlex
 from pathlib import Path
 
@@ -53,6 +54,48 @@ def test_readme_lists_the_expected_examples():
 def test_readme_example_output(command, capsys):
     assert main(shlex.split(command)) == 0
     assert capsys.readouterr().out == EXAMPLES[command]
+
+
+def _readme_python_lines() -> list[str]:
+    """The non-blank lines of the README's Python block."""
+    lines = []
+    in_block = False
+    for line in README.read_text(encoding="utf-8").splitlines():
+        if line.startswith("```"):
+            in_block = line == "```python"
+        elif in_block and line:
+            lines.append(line)
+    return lines
+
+
+def _agrees(value, shown: str) -> bool:
+    """Whether `value` is what a README comment shows: digits then `...`, a/b, or a string."""
+    if re.fullmatch(r"\d+\.\d+\.\.\.", shown):
+        return repr(value).startswith(shown[:-3])
+    if fraction := re.fullmatch(r"(\d+)/(\d+)", shown):
+        return value == int(fraction[1]) / int(fraction[2])
+    return value == json.loads(shown)
+
+
+def test_readme_python_block():
+    # The block shows the module-qualified API, the only one the package has.
+    imports, *lines = _readme_python_lines()
+    namespace = {}
+    exec(imports, namespace)
+    for line in lines:
+        code, _, shown = (part.strip() for part in line.partition("#"))
+        value = eval(code, namespace)
+        if shown == "exact + MC estimate":
+            exact = namespace["entpur"].expected_fidelity_dp(9, 0.8).expected_fidelity
+            assert value.expected_fidelity == exact
+            assert abs(value.mc_estimate - exact) <= 5.0 * value.mc_stderr
+        elif array := re.fullmatch(r"array\(\[(.*)\]\)", shown):
+            entries = array[1].split(", ")
+            assert len(value) == len(entries), line
+            assert all(_agrees(v, e) for v, e in zip(value.tolist(), entries)), line
+        else:
+            assert _agrees(value, shown), line
+    assert len(lines) == 7
 
 
 # Every break-even point up to N = 20, as printed when each prescan point

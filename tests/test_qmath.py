@@ -103,13 +103,17 @@ class TestWernerState:
 
 
 class TestLambdaDomain:
-    # Every closed form shares one domain check, qmath.require_lambda:
-    # [0, 1] for the closed forms, [1/4, 1] for the two strategy evaluators.
+    # Every closed form and matrix oracle shares one domain check,
+    # qmath.require_lambda: [0, 1] for the closed forms and oracles,
+    # [1/4, 1] for the two strategy evaluators.
     CASES = {
         "single_shot_fidelity": (channel.single_shot_fidelity, 0.0),
         "mixture_weights": (channel.mixture_weights, 0.0),
         "werner_density": (qmath.werner_density, 0.0),
         "pass_probability": (entpur.pass_probability, 0.0),
+        "purify_lambda": (entpur.purify_lambda, 0.0),
+        "teleport_oracle": (lambda lam: channel.teleport_oracle(lam, BlochAngles(1.2, 2.2)), 0.0),
+        "step_oracle": (entpur.step_oracle, 0.0),
         "outcome_distribution": (lambda lam: qubitpur.outcome_distribution(3, lam), 0.0),
         "single_qubit_fidelity": (lambda lam: qubitpur.single_qubit_fidelity(2, lam), 0.0),
         "expected_fidelity_dp": (lambda lam: entpur.expected_fidelity_dp(3, lam), 0.25),

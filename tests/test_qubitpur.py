@@ -240,9 +240,14 @@ class TestQuadratureOracle:
         b = qubitpur.reduced_state_quadrature_oracle(2, 0.6, angles=BlochAngles(2.0, 4.0))
         assert abs(a - b) < 1e-12
 
-    def test_node_count_floor(self):
-        with pytest.raises(ValueError):
-            qubitpur.reduced_state_quadrature_oracle(2, 0.6, nodes=16)
+    def test_independent_of_the_closed_form_sums(self, monkeypatch):
+        expected = qubitpur.reduced_state_quadrature_oracle(3, 0.7)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the oracle must not use the evaluator's sums")
+
+        monkeypatch.setattr(qubitpur, "_block_sums", refuse)
+        assert abs(qubitpur.reduced_state_quadrature_oracle(3, 0.7) - expected) <= 1e-12
 
     def test_rejects_oversized_block(self):
         with pytest.raises(ValueError):
