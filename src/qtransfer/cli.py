@@ -94,13 +94,23 @@ def cmd_single(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# The flags each strategy method never reads, by their argparse dest. --seed
+# is not among them: its default of 0 cannot be told from an explicit 0.
+_UNREAD_FLAGS = {"est": ("lambda0", "mc_samples", "distribution"),
+                 "qubit": ("mc_samples",), "ent": ("distribution",)}
+
+
 def cmd_strategy(args: argparse.Namespace) -> int:
+    for dest in _UNREAD_FLAGS[args.method]:
+        value = getattr(args, dest)
+        if value is not None and value is not False:  # 0 and 0.0 are given values
+            raise ValueError(f"--{dest.replace('_', '-')} does not apply to strategy {args.method}")
     if args.n < 1:
         raise ValueError("--n must be a positive integer")
     precision = args.precision
     report: dict = {"method": args.method, "n": args.n, "lambda0": None, "fidelity": None}
     if args.method == "est":
-        report["fidelity"] = _rounded(estimate.estimation_fidelity(args.n).fidelity, precision)
+        report["fidelity"] = _rounded(estimate.estimation_fidelity(args.n), precision)
     else:
         if args.lambda0 is None:
             raise ValueError("--lambda0 is required for this method")
@@ -112,7 +122,7 @@ def cmd_strategy(args: argparse.Namespace) -> int:
                 report["mc_estimate"] = _rounded(result.mc_estimate, precision)
                 report["mc_stderr"] = _rounded(result.mc_stderr, precision)
                 report["samples"] = result.samples
-                report["seed"] = result.seed
+                report["seed"] = args.seed
             else:
                 result = entpur.expected_fidelity_dp(args.n, args.lambda0)
                 report["fidelity"] = _rounded(result.expected_fidelity, precision)
@@ -154,12 +164,11 @@ def cmd_crossings(args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    samples = args.mc_samples if args.mc_samples is not None else DEFAULT_MC_SAMPLES
-    if samples < 1:
+    if args.mc_samples < 1:
         raise ValueError("--mc-samples must be a positive integer")
-    checks = run_validation_checks(seed=args.seed, mc_samples=samples)
+    checks = run_validation_checks(seed=args.seed, mc_samples=args.mc_samples)
     passed = all(c["passed"] for c in checks)
-    summary = {"passed": passed, "seed": args.seed, "mc_samples": samples,
+    summary = {"passed": passed, "seed": args.seed, "mc_samples": args.mc_samples,
                "failed": [c["name"] for c in checks if not c["passed"]], "checks": checks}
     _emit(json.dumps(summary, indent=2) + "\n", args)
     return EXIT_OK if passed else EXIT_VALIDATION
@@ -216,7 +225,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_validate = sub.add_parser("validate", parents=[common],
                                 help="run the oracle cross-check suite")
-    p_validate.add_argument("--mc-samples", type=int, default=None, dest="mc_samples")
+    p_validate.add_argument("--mc-samples", type=int, default=DEFAULT_MC_SAMPLES,
+                            dest="mc_samples")
 
     return parser
 

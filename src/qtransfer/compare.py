@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import entpur, estimate, qmath, qubitpur
+from .channel import LAMBDA_CRIT
 
 METHOD_NAMES = ("ent_pur", "estimation", "qubit_pur")
 
@@ -92,7 +93,7 @@ def _evaluate_grid(method: str, n: int, lambdas: list[float]) -> list[float]:
         return entpur.expected_fidelity_grid(n, lambdas).tolist()
     if method == "qubit_pur":
         return qubitpur.average_fidelity_grid(n, lambdas).tolist()
-    return [estimate.estimation_fidelity(n).fidelity] * len(lambdas)
+    return [estimate.estimation_fidelity(n)] * len(lambdas)
 
 
 def sweep(methods, n_values, lambda_grid) -> list[SweepRow]:
@@ -103,6 +104,8 @@ def sweep(methods, n_values, lambda_grid) -> list[SweepRow]:
     the raw run on exactly n pairs (so the even/odd structure is visible);
     the discard-to-odd rule is applied by effective_entpur_fidelity and by
     crossing_points, which is how the strategies are actually compared.
+    Every lambda0 must lie in [1/4, 1], as for the evaluators, even when
+    only estimation, which never reads it, is asked for.
     """
     methods = sorted(set(methods))
     if not methods:
@@ -116,8 +119,7 @@ def sweep(methods, n_values, lambda_grid) -> list[SweepRow]:
     lambdas = sorted({float(l) for l in lambda_grid})
     if not lambdas:
         raise ValueError("at least one lambda0 value is required")
-    if not all(0.25 < lam < 1.0 for lam in lambdas):
-        raise ValueError("lambda0 grid values must lie strictly inside (1/4, 1)")
+    qmath.require_lambda(np.array(lambdas), LAMBDA_CRIT)
     return [SweepRow(method=m, n=n, lambda0=lam, fidelity=fidelity)
             for m in methods for n in n_values
             for lam, fidelity in zip(lambdas, _evaluate_grid(m, n, lambdas))]
@@ -196,7 +198,7 @@ def crossing_points(n: int) -> CrossingResult:
     an absent value. Each root is then refined to float resolution: no
     float lies strictly between it and the other end of its final bracket.
     """
-    baseline = estimate.estimation_fidelity(n).fidelity
+    baseline = estimate.estimation_fidelity(n)
     lambda_1 = _find_crossing(
         lambda lam: effective_entpur_fidelity(n, lam) - baseline,
         entpur.expected_fidelity_grid(_odd_supply(n), _PRESCAN_LAMBDAS) - baseline,
@@ -215,8 +217,6 @@ def recommend(n: int, lam0: float) -> str:
     teleport-then-purify everywhere. Ties go to estimation because it
     needs no quantum channel at all.
     """
-    if not 0.25 < lam0 < 1.0:
-        raise ValueError("channel parameter must lie strictly inside (1/4, 1)")
     purify_value = qubitpur.average_fidelity(n, lam0).expected_fidelity
-    baseline = estimate.estimation_fidelity(n).fidelity
+    baseline = estimate.estimation_fidelity(n)
     return "qubit_pur" if purify_value > baseline else "estimation"

@@ -148,7 +148,6 @@ class EntPurResult:
     mc_estimate: float | None = None
     mc_stderr: float | None = None
     samples: int | None = None
-    seed: int | None = None
 
     def __post_init__(self):
         if not 0.5 - 1e-12 <= self.expected_fidelity <= 1.0 + 1e-12:
@@ -280,8 +279,8 @@ def mc_simulate(n_ebits: int, lam0: float, samples: int, seed: int) -> EntPurRes
 
     Each sample plays the full store-and-purify run with independent
     binomial draws for the surviving pair counts. Returns the exact
-    expectation alongside the sample mean, its standard error, and the
-    seed; results are deterministic for a fixed (seed, samples).
+    expectation alongside the sample mean, its standard error and the
+    sample count; results are deterministic for a fixed (seed, samples).
     """
     n_ebits, p_seq, ends = _run_sequences(n_ebits, lam0)
     if samples < 1:
@@ -318,4 +317,4 @@ def mc_simulate(n_ebits: int, lam0: float, samples: int, seed: int) -> EntPurRes
         mean = float(result.mean())
         stderr = float(result.std(ddof=1) / math.sqrt(samples))
     return EntPurResult(expected_fidelity=exact.expected_fidelity, path_count=exact.path_count,
-                        mc_estimate=mean, mc_stderr=stderr, samples=samples, seed=seed)
+                        mc_estimate=mean, mc_stderr=stderr, samples=samples)

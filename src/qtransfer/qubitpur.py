@@ -106,7 +106,6 @@ class OutcomeDistribution:
     """Distribution of the surviving-block size m after the collective projection."""
 
     n: int
-    lambda0: float
     probs: dict[int, float]
 
     def __post_init__(self):
@@ -133,7 +132,7 @@ def outcome_distribution(n: int, lam0: float, *, sums: list | None = None) -> Ou
         sums = _block_sums(n, c1, c0)[0]
     weights = _block_probabilities(n, c0 * c1, sums)
     probs = {n - 2 * k: weights[k] for k in reversed(range(n // 2 + 1))}
-    return OutcomeDistribution(n=n, lambda0=lam0, probs=probs)
+    return OutcomeDistribution(n=n, probs=probs)
 
 
 def single_qubit_fidelity(m: int, lam0: float) -> float:
@@ -237,7 +236,7 @@ def spin_projector_oracle(n: int, lam0: float, angles: BlochAngles | None = None
         assigned += dim_expected
     if assigned != 2 ** n:
         raise RuntimeError("spin sectors do not exhaust the state space")
-    return OutcomeDistribution(n=n, lambda0=lam0, probs=probs)
+    return OutcomeDistribution(n=n, probs=probs)
 
 
 def reduced_state_quadrature_oracle(m: int, lam0: float,

@@ -182,6 +182,6 @@ def test_11_crossing_anchors_and_trends():
 
 
 def test_12_estimation_values():
-    ok = (estimate.estimation_fidelity(1).fidelity == 2 / 3
-          and estimate.estimation_fidelity(9).fidelity == 10 / 11)
+    ok = (estimate.estimation_fidelity(1) == 2 / 3
+          and estimate.estimation_fidelity(9) == 10 / 11)
     assert _report("estimation baseline values", ok)

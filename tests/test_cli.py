@@ -66,6 +66,22 @@ class TestStrategy:
         assert 0.99 < report["fidelity"] < 1.0
         assert len(report["distribution"]) == 521
 
+    @pytest.mark.parametrize("method,flag", [
+        ("est", ["--lambda0", "0.7"]),
+        ("est", ["--mc-samples", "5"]),
+        ("est", ["--distribution"]),
+        ("qubit", ["--mc-samples", "5"]),
+        ("ent", ["--distribution"]),
+    ])
+    def test_flag_the_method_never_reads_is_an_input_error(self, capsys, method, flag):
+        argv = ["strategy", method, "--n", "4"] + flag
+        if method != "est":
+            argv += ["--lambda0", "0.7"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: {flag[0]} does not apply to strategy {method}" in captured.err
+
     def test_missing_lambda_is_an_input_error(self, capsys):
         assert main(["strategy", "ent", "--n", "3"]) == 2
         capsys.readouterr()

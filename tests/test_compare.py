@@ -75,14 +75,21 @@ class TestSweep:
             compare.sweep(["qubit_pur"], [9], [])
         with pytest.raises(ValueError):
             compare.sweep(["teleport_twice"], [9], [0.5])
-        with pytest.raises(ValueError):
-            compare.sweep(["qubit_pur"], [9], [0.25])
-        with pytest.raises(ValueError):
-            compare.sweep(["qubit_pur"], [9], [1.0])
         # sorted() can leave a NaN anywhere in the grid, not only at its ends.
-        for grid in ([float("nan")], [0.5, float("nan")]):
-            with pytest.raises(ValueError, match="strictly inside"):
-                compare.sweep(["estimation"], [3], grid)
+        for bad in (0.2, 1.1, float("nan")):
+            for method in compare.METHOD_NAMES:
+                for grid in ([bad], [0.5, bad]):
+                    with pytest.raises(ValueError, match="lambda must lie in"):
+                        compare.sweep([method], [3], grid)
+
+    def test_closed_domain_ends_are_exact(self):
+        rows = compare.sweep(compare.METHOD_NAMES, range(1, 9), [0.25, 1.0])
+        assert len(rows) == 3 * 8 * 2
+        for row in rows:
+            if row.method == "estimation":
+                assert row.fidelity == (row.n + 1) / (row.n + 2)
+            else:
+                assert row.fidelity == (0.5 if row.lambda0 == 0.25 else 1.0), row
 
 
 class TestCrossingPoints:
@@ -217,7 +224,7 @@ class TestCrossingAccuracyAndWork:
     def test_roots_are_resolved_to_a_float_neighbour(self):
         for n in (3, 9, 40):
             result = compare.crossing_points(n)
-            baseline = estimate.estimation_fidelity(n).fidelity
+            baseline = estimate.estimation_fidelity(n)
             for root, gap in (
                     (result.lambda_1,
                      lambda lam: compare.effective_entpur_fidelity(n, lam) - baseline),
@@ -247,5 +254,11 @@ class TestRecommend:
         assert compare.recommend(9, result.lambda_2 - 0.01) == "estimation"
 
     def test_domain_validation(self):
-        with pytest.raises(ValueError):
-            compare.recommend(9, 0.25)
+        for lam0 in (0.2, 1.1, float("nan")):
+            with pytest.raises(ValueError, match="lambda must lie in"):
+                compare.recommend(9, lam0)
+
+    def test_closed_domain_ends(self):
+        for n in range(1, 21):
+            assert compare.recommend(n, 0.25) == "estimation"
+            assert compare.recommend(n, 1.0) == "qubit_pur"

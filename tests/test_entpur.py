@@ -288,7 +288,6 @@ class TestMonteCarlo:
     def test_carries_run_metadata(self):
         result = entpur.mc_simulate(5, 0.7, 100, seed=9)
         assert result.samples == 100
-        assert result.seed == 9
         assert result.path_count == entpur.expected_fidelity_dp(5, 0.7).path_count
 
     @pytest.mark.parametrize("args,expected", [

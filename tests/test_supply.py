@@ -55,7 +55,8 @@ def test_numpy_integer_supply_equals_int(name):
 def test_numpy_integer_reaches_the_big_integer_recurrence_as_an_int():
     assert (qubitpur.average_fidelity(np.int64(100), 0.7)
             == qubitpur.average_fidelity(100, 0.7))
-    assert type(estimate.estimation_fidelity(np.int64(3)).n) is int
+    assert type(estimate.estimation_fidelity(np.int64(3))) is float
+    assert estimate.estimation_fidelity(np.int64(3)) == 0.8
 
 
 def test_sweep_does_not_truncate():
